@@ -10,8 +10,9 @@ namespace qzz::common {
 
 namespace {
 
-/** Set while a pool worker runs a block, so nested parallelFor()
- *  calls degrade to inline execution instead of deadlocking. */
+/** Set while this thread runs blocks of a job (as a pool worker or
+ *  as the calling thread), so nested parallelFor() calls degrade to
+ *  inline execution instead of deadlocking on the job lock. */
 thread_local bool in_pool_worker = false;
 
 /**
@@ -68,7 +69,9 @@ class Pool
             ++generation_;
         }
         wake_.notify_all();
+        in_pool_worker = true;
         drainBlocks(fn);
+        in_pool_worker = false;
         // All blocks are claimed; wait for stragglers still running
         // their final block.
         std::unique_lock<std::mutex> lock(m_);

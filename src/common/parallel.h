@@ -15,8 +15,9 @@
  * identical to the sequential loop regardless of thread count or
  * interleaving.
  *
- * Nested calls (a parallelFor() issued from inside a worker) run
- * inline on the calling thread: the pool never deadlocks on itself.
+ * Nested calls (a parallelFor() issued from inside a block, on a
+ * worker or on the thread that made the outer call) run inline on
+ * the thread that issues them: the pool never deadlocks on itself.
  */
 
 #ifndef QZZ_COMMON_PARALLEL_H
@@ -43,7 +44,7 @@ int parallelWorkers();
  *
  * Runs inline (single thread) when the range is shorter than
  * 2 * @p min_grain, when the pool has no workers, or when called
- * from inside a pool worker.
+ * from inside another parallelFor() block.
  *
  * @param begin      first index.
  * @param end        one past the last index.

@@ -14,6 +14,15 @@
  *
  * Qubits without pulses simply sit in the ZZ bath — exactly the
  * physics the paper's scheduling fights.
+ *
+ * On registers of 9 or more qubits the state-vector simulator splits
+ * each layer on up to two qubits none of its gates touches: with
+ * those bits fixed, the diagonal ZZ phase and every gate act inside
+ * one of the 2^m sub-registers, so each sub-register integrates the
+ * whole layer on its own across the shared pool, with no barrier
+ * between steps.  Every amplitude sees the same kernels, in the same
+ * order, with the same phases, so results are bit-identical to the
+ * unsplit loop (docs/performance.md, "The idle-qubit split").
  */
 
 #ifndef QZZ_SIM_PULSE_SIM_H

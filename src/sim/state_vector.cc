@@ -44,6 +44,8 @@ void
 StateVector::apply2Q(const la::CMatrix &u, int q_hi, int q_lo)
 {
     require(u.rows() == 4 && u.cols() == 4, "apply2Q: need a 4x4 matrix");
+    require(q_hi >= 0 && q_hi < n_ && q_lo >= 0 && q_lo < n_,
+            "apply2Q: qubit out of range");
     require(q_hi != q_lo, "apply2Q: distinct qubits required");
     const size_t s_hi = size_t(1) << bitPos(q_hi);
     const size_t s_lo = size_t(1) << bitPos(q_lo);

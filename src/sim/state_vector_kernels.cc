@@ -64,6 +64,8 @@ StateVector::apply1Q(const la::Mat2 &u, int q)
 void
 StateVector::apply2Q(const la::Mat4 &u, int q_hi, int q_lo)
 {
+    require(q_hi >= 0 && q_hi < n_ && q_lo >= 0 && q_lo < n_,
+            "apply2Q: qubit out of range");
     require(q_hi != q_lo, "apply2Q: distinct qubits required");
     const size_t s_hi = size_t(1) << bitPos(q_hi);
     const size_t s_lo = size_t(1) << bitPos(q_lo);

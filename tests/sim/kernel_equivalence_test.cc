@@ -7,17 +7,21 @@
  * move physics: every test here pins an optimized path against the
  * retained scalar reference on randomized states, across register
  * sizes that cover both the serial (n < 8) and the pool-split
- * (n >= 8) kernels.  Runs under ASan and TSan in CI (label
- * unit-service), so the shared-pool splits are raced deliberately.
+ * (n >= 8) kernels.  The state-vector simulator's idle-qubit
+ * sub-register split (n >= 9) is also pinned to the same run made
+ * serially.  Runs under ASan and TSan in CI (label unit-service), so
+ * the shared-pool splits are raced deliberately.
  */
 
 #include <cmath>
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/par_sched.h"
+#include "core/zzx_sched.h"
 #include "graph/topologies.h"
 #include "linalg/expm.h"
 #include "sim/density_matrix.h"
@@ -341,6 +345,168 @@ TEST(KernelEquivalence, PoolSplitKernelsMatchAtEightQubits)
     a.applyDecoherence(gamma, keep);
     b.applyDecoherenceScalar(gamma, keep);
     EXPECT_LE(maxAbsDiff(a.matrix(), b.matrix()), 1e-13);
+}
+
+/** A physical layer of SX gates on @p sx, identities on @p id and
+ *  RZX(pi/2) on the ordered pairs @p rzx, lasting @p duration ns.
+ *  The pulses last 20 ns, so in a longer layer they end mid-layer. */
+core::Layer
+physicalLayer(const std::vector<int> &sx, const std::vector<int> &id,
+              const std::vector<std::array<int, 2>> &rzx, double duration)
+{
+    core::Layer l;
+    l.duration = duration;
+    for (int q : sx)
+        l.gates.push_back({ckt::Gate(ckt::GateKind::SX, {q})});
+    for (int q : id)
+        l.gates.push_back({ckt::Gate(ckt::GateKind::I, {q})});
+    for (const auto &p : rzx)
+        l.gates.push_back(
+            {ckt::Gate(ckt::GateKind::RZX, {p[0], p[1]}, {kPi / 2.0})});
+    return l;
+}
+
+std::vector<int>
+qubitRange(int lo, int hi)
+{
+    std::vector<int> q;
+    for (int i = lo; i < hi; ++i)
+        q.push_back(i);
+    return q;
+}
+
+/**
+ * Layers covering every split case of an n >= 9 register (qubit 0 is
+ * the top bit): no idle qubit, one idle at the lowest bit, idle top
+ * bits, exactly two idle qubits straddled by RZX jobs in both qubit
+ * orders, idle qubits at both ends, a lone job, and a virtual layer.
+ */
+core::Schedule
+splitCaseSchedule(int n)
+{
+    core::Schedule s;
+    s.num_qubits = n;
+    // 0 idle.
+    s.layers.push_back(
+        physicalLayer(qubitRange(2, n - 2), {}, {{0, 1}, {n - 1, n - 2}},
+                      20.0));
+    // 1 idle: qubit n-1, the lowest bit.
+    std::vector<int> sx = qubitRange(3, n - 1);
+    sx.push_back(0);
+    s.layers.push_back(physicalLayer(sx, {}, {{2, 1}}, 30.0));
+    // Idle {0, 1, n-2, n-1}: the split takes the top bits.
+    s.layers.push_back(
+        physicalLayer(qubitRange(4, n - 2), {}, {{2, 3}}, 25.0));
+    // Idle {1, 5} only; RZX(0,4) and RZX(6,2) cross the split bits.
+    s.layers.push_back(
+        physicalLayer(qubitRange(7, n), {3}, {{0, 4}, {6, 2}}, 30.0));
+    core::Layer virt;
+    virt.is_virtual = true;
+    virt.gates.push_back({ckt::Gate(ckt::GateKind::RZ, {0}, {0.7})});
+    virt.gates.push_back({ckt::Gate(ckt::GateKind::RZ, {n - 1}, {-1.1})});
+    s.layers.push_back(virt);
+    // Idle {0, n-1}: the split bits are the top and the lowest.
+    s.layers.push_back(
+        physicalLayer(qubitRange(3, n - 1), {}, {{1, 2}}, 20.0));
+    // One job, everything else idle.
+    s.layers.push_back(physicalLayer({n / 2}, {}, {}, 30.0));
+    return s;
+}
+
+StateVector
+randomPureState(Rng &rng, int n)
+{
+    StateVector psi(n);
+    double norm2 = 0.0;
+    for (cplx &a : psi.amplitudes()) {
+        a = cplx{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+        norm2 += std::norm(a);
+    }
+    for (cplx &a : psi.amplitudes())
+        a /= std::sqrt(norm2);
+    return psi;
+}
+
+TEST(KernelEquivalence, IdleQubitSplitIsThreadCountInvariant)
+{
+    // Run from the top level, the split layers fan their
+    // sub-registers out across the pool; run from inside a
+    // parallelFor() block, the nested fan-out runs inline, one
+    // sub-register after another on one thread.  The amplitudes must
+    // agree to the bit, and track the unsplit scalar reference.
+    const auto lib = pulse::PulseLibrary::gaussian();
+    for (auto [rows, cols] : {std::pair{3, 3}, std::pair{3, 4}}) {
+        const int n = rows * cols;
+        const auto dev = gridDevice(rows, cols);
+        const core::Schedule sched = splitCaseSchedule(n);
+        PulseSimOptions fast;
+        fast.dt = 0.5;
+        PulseSimOptions ref = fast;
+        ref.scalar_reference = true;
+        const PulseScheduleSimulator sim(dev, lib, fast);
+
+        Rng rng{uint64_t(n)};
+        const StateVector psi0 = randomPureState(rng, n);
+        StateVector pooled = psi0;
+        sim.run(sched, pooled);
+        // Two blocks, so the call dispatches to the pool and each
+        // block's own run is nested.
+        std::vector<StateVector> serial(2, psi0);
+        common::parallelFor(0, 2, 1, [&](size_t lo, size_t hi) {
+            for (size_t i = lo; i < hi; ++i)
+                sim.run(sched, serial[i]);
+        });
+        StateVector scalar = psi0;
+        PulseScheduleSimulator(dev, lib, ref).run(sched, scalar);
+
+        double worst = 0.0;
+        for (size_t k = 0; k < pooled.dim(); ++k) {
+            const cplx a = pooled.amplitudes()[k];
+            ASSERT_EQ(a, serial[0].amplitudes()[k]) << "n=" << n << " k=" << k;
+            ASSERT_EQ(a, serial[1].amplitudes()[k]) << "n=" << n << " k=" << k;
+            worst = std::max(worst, std::abs(a - scalar.amplitudes()[k]));
+        }
+        EXPECT_LE(worst, 1e-10) << "n=" << n;
+        EXPECT_NEAR(pooled.norm(), 1.0, 1e-9) << "n=" << n;
+        // The schedule did move the state.
+        EXPECT_LT(pooled.fidelity(psi0), 0.99) << "n=" << n;
+    }
+}
+
+TEST(KernelEquivalence, IdleQubitSplitMatchesScalarOnCompiledSchedules)
+{
+    // The schedulers' own layers at n = 12, under both policies: a
+    // ParSched layer leaves gate-free qubits idle, a ZZXSched layer
+    // puts no pulse on its suppressed side.
+    const auto dev = gridDevice(3, 4, 11);
+    const auto lib = pulse::PulseLibrary::gaussian();
+    const int n = 12;
+    ckt::QuantumCircuit c(n);
+    Rng rng(5);
+    for (int rep = 0; rep < 3; ++rep) {
+        for (int q = 0; q < n; ++q)
+            if (rng.uniform(0.0, 1.0) < 0.5)
+                c.sx(q);
+        for (const graph::Edge &e : dev.graph().edges())
+            if (rng.uniform(0.0, 1.0) < 0.2)
+                c.rzx(e.u, e.v, kPi / 2.0);
+    }
+    PulseSimOptions fast;
+    fast.dt = 0.5;
+    PulseSimOptions ref = fast;
+    ref.scalar_reference = true;
+    for (const core::Schedule &sched :
+         {core::parSchedule(c, dev, core::GateDurations{}),
+          core::zzxSchedule(c, dev, core::GateDurations{})}) {
+        const StateVector a =
+            PulseScheduleSimulator(dev, lib, fast).run(sched);
+        const StateVector b =
+            PulseScheduleSimulator(dev, lib, ref).run(sched);
+        for (size_t k = 0; k < a.dim(); ++k)
+            ASSERT_LE(std::abs(a.amplitudes()[k] - b.amplitudes()[k]),
+                      1e-10)
+                << "k=" << k;
+    }
 }
 
 } // namespace

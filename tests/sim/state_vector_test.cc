@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "circuit/gate.h"
+#include "common/error.h"
 #include "common/units.h"
 #include "linalg/fidelity.h"
 
@@ -118,6 +119,29 @@ TEST(StateVectorTest, UnitaryPreservesNorm)
         ckt::gateMatrix({ckt::GateKind::RZX, {0, 1}, {kPi / 2.0}}), 1,
         3);
     EXPECT_NEAR(psi.norm(), 1.0, 1e-12);
+}
+
+TEST(StateVectorTest, QubitIndicesAreRangeChecked)
+{
+    // Both overloads of each kernel: an out-of-range index would shift
+    // by a negative amount and write outside the register.
+    StateVector psi(3);
+    const la::CMatrix u2 = ckt::gateMatrix({ckt::GateKind::H, {0}});
+    const la::CMatrix u4 = ckt::gateMatrix({ckt::GateKind::CX, {0, 1}});
+    const la::Mat2 m2 = la::toMat2(u2);
+    const la::Mat4 m4 = la::toMat4(u4);
+    for (int bad : {-1, 3, 7}) {
+        EXPECT_THROW(psi.apply1Q(u2, bad), UserError) << bad;
+        EXPECT_THROW(psi.apply1Q(m2, bad), UserError) << bad;
+        EXPECT_THROW(psi.apply2Q(u4, bad, 0), UserError) << bad;
+        EXPECT_THROW(psi.apply2Q(u4, 0, bad), UserError) << bad;
+        EXPECT_THROW(psi.apply2Q(m4, bad, 0), UserError) << bad;
+        EXPECT_THROW(psi.apply2Q(m4, 0, bad), UserError) << bad;
+    }
+    EXPECT_THROW(psi.apply2Q(m4, 1, 1), UserError);
+    // Nothing was written: the register is still |000>.
+    EXPECT_EQ(psi.amplitudes()[0], la::cplx(1.0, 0.0));
+    EXPECT_NEAR(psi.norm(), 1.0, 1e-15);
 }
 
 } // namespace
