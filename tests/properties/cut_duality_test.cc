@@ -5,6 +5,8 @@
  * queries, using parameterized sweeps.
  */
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -19,6 +21,14 @@ struct TopoCase
     const char *name;
     graph::Topology (*make)();
 };
+
+// Without a printer gtest names each case by the raw bytes of its
+// pointers, which address-space randomization changes on every run.
+void
+PrintTo(const TopoCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 graph::Topology
 makeGrid34()
