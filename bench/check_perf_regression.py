@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Compare a fresh bench JSON against its committed baseline.
+"""Check a change against its baseline for performance regressions.
 
 Machine portability is the whole design: CI runners differ in clock
-speed, so absolute nanoseconds are never compared across machines.
+speed, so absolute times are only compared within one host and run.
 
-* bench_sim_speed publishes scalar/optimized *ratios* measured within
-  one run on one machine; those ratios transfer across hosts, so each
-  kernel and end-to-end speedup must stay within --tolerance of the
-  committed baseline ratio (and the bench's own acceptance bar must
-  have passed).
+* perfbench: run the repository benchmark (perfbench/run.py) on the
+  change's checkout and on the parent's, in alternating pairs on the
+  same host, and fail when the change's median of a gated end-to-end
+  metric is worse than the parent's by more than that metric's
+  `bound` in BENCHMARK.json.  suite_s is gated; the other end-to-end
+  metrics are printed.  Each checkout builds into its own
+  <checkout>/.bench_build.
 
 * bench_compile_time publishes absolute per-benchmark times.  Those
   are first normalized by the run's geometric mean, which cancels the
@@ -16,17 +18,22 @@ speed, so absolute nanoseconds are never compared across machines.
   grew by more than --tolerance relative to the baseline's share --
   i.e. it got slower relative to its peers, not the machine.
 
-Exit status 0 when nothing regressed, 1 otherwise.  Repin a baseline
-by copying the fresh JSON over bench/baselines/<name>.json.
+Exit status 0 when nothing regressed, 1 otherwise.  Repin the
+compile-time baseline by copying the fresh JSON over
+bench/baselines/BENCH_compile_time.json.
 
 Usage:
-  check_perf_regression.py sim_speed     <current.json> <baseline.json>
+  check_perf_regression.py perfbench     <change-dir> <parent-dir>
+                           [--pairs N] [--seconds S] [--workloads W...]
   check_perf_regression.py compile_time  <current.json> <baseline.json>
 """
 
 import argparse
 import json
 import math
+import os
+import statistics
+import subprocess
 import sys
 
 
@@ -35,33 +42,80 @@ def load(path):
         return json.load(f)
 
 
-def check_sim_speed(cur, base, tol):
+# End-to-end metrics that fail the perfbench comparison; the rest of
+# BENCHMARK.json's end-to-end list is reported only.
+GATED = ("suite_s",)
+
+
+def run_perfbench(checkout, workload, seed, seconds):
+    """One perfbench/run.py run in @checkout; its final JSON object."""
+    env = dict(os.environ,
+               CARGO_TARGET_DIR=os.path.join(checkout, ".bench_build"))
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, env=env, text=True,
+                          stdout=subprocess.PIPE)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stdout.write(proc.stdout)
+        raise RuntimeError(f"perfbench run failed in {checkout} "
+                           f"({workload}, seed {seed})")
+    return json.loads(lines[-1])
+
+
+def worse_by(metric, change, parent):
+    """Relative movement of @change against @parent, positive = worse."""
+    move = (change - parent) / parent
+    return move if metric["better"] == "lower" else -move
+
+
+def check_perfbench(change_dir, parent_dir, pairs, seconds, workloads):
+    spec = load(os.path.join(change_dir, "BENCHMARK.json"))
+    metrics = spec["end_to_end"]
+    seconds = seconds or spec["run_seconds"]
+    workloads = workloads or [w["name"] for w in spec["workloads"]]
+    trees = (("parent", parent_dir), ("change", change_dir))
     failures = []
-    if not cur.get("passed", False):
-        failures.append("bench_sim_speed's own acceptance gate failed")
-
-    def ratios(doc):
-        out = {}
-        for k in doc.get("kernels", []):
-            out["kernel:" + k["kernel"]] = k["speedup"]
-        for e in doc.get("e2e", []):
-            out["e2e:" + e["name"]] = e["speedup"]
-        return out
-
-    cur_r, base_r = ratios(cur), ratios(base)
-    for name, baseline in sorted(base_r.items()):
-        if name not in cur_r:
-            failures.append(f"{name}: missing from current run")
-            continue
-        current = cur_r[name]
-        floor = baseline / (1.0 + tol)
-        status = "ok" if current >= floor else "REGRESSED"
-        print(f"  {name:28s} baseline {baseline:7.2f}x  "
-              f"current {current:7.2f}x  floor {floor:6.2f}x  {status}")
-        if current < floor:
-            failures.append(
-                f"{name}: speedup {current:.2f}x fell more than "
-                f"{tol:.0%} below baseline {baseline:.2f}x")
+    for workload in workloads:
+        runs = {"parent": [], "change": []}
+        for pair in range(pairs):
+            # Alternate which side goes first, so a host slowing down
+            # or speeding up over the job hits both sides alike.
+            for side, checkout in (trees if pair % 2 == 0
+                                   else trees[::-1]):
+                result = run_perfbench(checkout, workload, pair + 1,
+                                       seconds)
+                values = {m: v["value"]
+                          for m, v in result["metrics"].items()}
+                runs[side].append(values)
+                print(f"  {workload} pair {pair + 1} {side:6s} " +
+                      " ".join(f"{m['name']}={values[m['name']]:.4g}"
+                               for m in metrics if m["name"] in values),
+                      flush=True)
+                if side == "change" and (not result["correct"] or
+                                         result["failed"]):
+                    failures.append(
+                        f"{workload} pair {pair + 1}: the change's output "
+                        f"checks failed ({result['failed']} of "
+                        f"{result['attempted']})")
+        for m in metrics:
+            name = m["name"]
+            if not all(name in r for side in runs.values() for r in side):
+                continue
+            parent = statistics.median(r[name] for r in runs["parent"])
+            change = statistics.median(r[name] for r in runs["change"])
+            move = worse_by(m, change, parent)
+            gated = name in GATED
+            status = ("REGRESSED" if move > m["bound"] else "ok") \
+                if gated else "reported"
+            print(f"  {workload} {name:12s} parent {parent:10.4g}  "
+                  f"change {change:10.4g}  worse by {move:+7.1%}  "
+                  f"bound {m['bound']:.0%}  {status}")
+            if gated and move > m["bound"]:
+                failures.append(
+                    f"{workload} {name}: median {change:.4g} {m['unit']} "
+                    f"is {move:.1%} worse than the parent's {parent:.4g}, "
+                    f"beyond the {m['bound']:.0%} bound")
     return failures
 
 
@@ -106,21 +160,34 @@ def check_compile_time(cur, base, tol):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("mode", choices=["sim_speed", "compile_time"])
-    ap.add_argument("current")
-    ap.add_argument("baseline")
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("mode", choices=["perfbench", "compile_time"])
+    ap.add_argument("current",
+                    help="change checkout (perfbench) or fresh JSON")
+    ap.add_argument("baseline",
+                    help="parent checkout (perfbench) or baseline JSON")
     ap.add_argument("--tolerance", type=float, default=0.20,
-                    help="allowed relative regression (default 0.20)")
+                    help="compile_time: allowed relative regression "
+                         "(default 0.20)")
+    ap.add_argument("--pairs", type=int, default=5,
+                    help="perfbench: parent/change run pairs per workload "
+                         "(default 5)")
+    ap.add_argument("--seconds", type=float, default=None,
+                    help="perfbench: run time per run (default: "
+                         "BENCHMARK.json run_seconds)")
+    ap.add_argument("--workloads", nargs="+", default=None,
+                    help="perfbench: workloads (default: BENCHMARK.json's)")
     args = ap.parse_args()
 
-    cur, base = load(args.current), load(args.baseline)
-    print(f"== {args.mode}: {args.current} vs {args.baseline} "
-          f"(tolerance {args.tolerance:.0%}) ==")
-    if args.mode == "sim_speed":
-        failures = check_sim_speed(cur, base, args.tolerance)
+    print(f"== {args.mode}: {args.current} vs {args.baseline} ==",
+          flush=True)
+    if args.mode == "perfbench":
+        failures = check_perfbench(args.current, args.baseline, args.pairs,
+                                   args.seconds, args.workloads)
     else:
-        failures = check_compile_time(cur, base, args.tolerance)
+        failures = check_compile_time(load(args.current),
+                                      load(args.baseline), args.tolerance)
 
     if failures:
         print("\nPERF REGRESSION:")

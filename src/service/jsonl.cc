@@ -156,7 +156,7 @@ class Parser
     }
 
     bool
-    parseScalar(JsonScalar &out)
+    parseValue(JsonScalar &out)
     {
         skipSpace();
         const char c = peek();
@@ -214,7 +214,7 @@ class Parser
             if (!consume(':'))
                 return fail("expected ':'");
             JsonScalar value;
-            if (!parseScalar(value))
+            if (!parseValue(value))
                 return false;
             if (!fields.emplace(std::move(key), std::move(value)).second)
                 return fail("duplicate key");

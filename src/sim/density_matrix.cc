@@ -1,8 +1,8 @@
 // The fused hot-path kernels (apply1Q/apply2Q/applyPhaseVector/
 // applyDecoherence) live in density_matrix_kernels.cc, the only
 // translation unit the build compiles with the vector ISA; this file
-// keeps the constructors, the retained scalar reference paths, and
-// the observables at baseline codegen.
+// keeps the constructors, the single-qubit channels and RZ, and the
+// observables at baseline codegen.
 
 #include "sim/density_matrix.h"
 
@@ -48,89 +48,9 @@ DensityMatrix::apply2Q(const CMatrix &u, int q_hi, int q_lo)
 }
 
 void
-DensityMatrix::apply1QScalar(const CMatrix &u, int q)
-{
-    require(u.rows() == 2 && u.cols() == 2, "apply1Q: need 2x2");
-    const size_t stride = size_t(1) << bitPos(q);
-    const size_t d = dim();
-    // Left multiply: rows mix within each column.
-    for (size_t c = 0; c < d; ++c) {
-        for (size_t base = 0; base < d; base += 2 * stride) {
-            for (size_t off = 0; off < stride; ++off) {
-                const size_t r0 = base + off, r1 = r0 + stride;
-                const cplx a0 = rho_(r0, c), a1 = rho_(r1, c);
-                rho_(r0, c) = u(0, 0) * a0 + u(0, 1) * a1;
-                rho_(r1, c) = u(1, 0) * a0 + u(1, 1) * a1;
-            }
-        }
-    }
-    // Right multiply by U^dag: columns mix within each row.
-    for (size_t r = 0; r < d; ++r) {
-        for (size_t base = 0; base < d; base += 2 * stride) {
-            for (size_t off = 0; off < stride; ++off) {
-                const size_t c0 = base + off, c1 = c0 + stride;
-                const cplx a0 = rho_(r, c0), a1 = rho_(r, c1);
-                rho_(r, c0) =
-                    a0 * std::conj(u(0, 0)) + a1 * std::conj(u(0, 1));
-                rho_(r, c1) =
-                    a0 * std::conj(u(1, 0)) + a1 * std::conj(u(1, 1));
-            }
-        }
-    }
-}
-
-void
-DensityMatrix::apply2QScalar(const CMatrix &u, int q_hi, int q_lo)
-{
-    require(u.rows() == 4 && u.cols() == 4, "apply2Q: need 4x4");
-    const size_t s_hi = size_t(1) << bitPos(q_hi);
-    const size_t s_lo = size_t(1) << bitPos(q_lo);
-    const size_t d = dim();
-    auto idx = [&](size_t k, int comp) {
-        size_t out = k;
-        if (comp & 2)
-            out |= s_hi;
-        if (comp & 1)
-            out |= s_lo;
-        return out;
-    };
-    // Left multiply.
-    for (size_t c = 0; c < d; ++c) {
-        for (size_t k = 0; k < d; ++k) {
-            if ((k & s_hi) || (k & s_lo))
-                continue;
-            cplx v[4];
-            for (int i = 0; i < 4; ++i)
-                v[i] = rho_(idx(k, i), c);
-            for (int i = 0; i < 4; ++i) {
-                cplx acc = 0.0;
-                for (int j = 0; j < 4; ++j)
-                    acc += u(size_t(i), size_t(j)) * v[j];
-                rho_(idx(k, i), c) = acc;
-            }
-        }
-    }
-    // Right multiply by U^dag.
-    for (size_t r = 0; r < d; ++r) {
-        for (size_t k = 0; k < d; ++k) {
-            if ((k & s_hi) || (k & s_lo))
-                continue;
-            cplx v[4];
-            for (int i = 0; i < 4; ++i)
-                v[i] = rho_(r, idx(k, i));
-            for (int i = 0; i < 4; ++i) {
-                cplx acc = 0.0;
-                for (int j = 0; j < 4; ++j)
-                    acc += v[j] * std::conj(u(size_t(i), size_t(j)));
-                rho_(r, idx(k, i)) = acc;
-            }
-        }
-    }
-}
-
-void
 DensityMatrix::applyRz(int q, double theta)
 {
+    require(q >= 0 && q < n_, "applyRz: qubit out of range");
     const size_t mask = size_t(1) << bitPos(q);
     const size_t d = dim();
     const cplx phase = std::exp(cplx{0.0, -theta});
@@ -144,21 +64,9 @@ DensityMatrix::applyRz(int q, double theta)
 }
 
 void
-DensityMatrix::applyDiagonalPhase(const std::vector<double> &energies,
-                                  double dt)
-{
-    require(energies.size() == dim(), "applyDiagonalPhase: table size");
-    const size_t d = dim();
-    for (size_t r = 0; r < d; ++r)
-        for (size_t c = 0; c < d; ++c) {
-            const double phi = (energies[r] - energies[c]) * dt;
-            rho_(r, c) *= cplx{std::cos(phi), -std::sin(phi)};
-        }
-}
-
-void
 DensityMatrix::applyAmplitudeDamping(int q, double gamma)
 {
+    require(q >= 0 && q < n_, "applyAmplitudeDamping: qubit out of range");
     require(gamma >= 0.0 && gamma <= 1.0, "applyAmplitudeDamping: gamma");
     const size_t mask = size_t(1) << bitPos(q);
     const size_t d = dim();
@@ -184,6 +92,7 @@ DensityMatrix::applyAmplitudeDamping(int q, double gamma)
 void
 DensityMatrix::applyDephasing(int q, double keep)
 {
+    require(q >= 0 && q < n_, "applyDephasing: qubit out of range");
     require(keep >= 0.0 && keep <= 1.0, "applyDephasing: keep factor");
     const size_t mask = size_t(1) << bitPos(q);
     const size_t d = dim();
@@ -193,21 +102,6 @@ DensityMatrix::applyDephasing(int q, double keep)
             if (rb != cb)
                 rho_(r, c) *= keep;
         }
-}
-
-void
-DensityMatrix::applyDecoherenceScalar(const std::vector<double> &gamma,
-                                      const std::vector<double> &keep)
-{
-    require(int(gamma.size()) == n_ && int(keep.size()) == n_,
-            "applyDecoherence: per-qubit rate vectors must have one "
-            "entry per qubit");
-    for (int q = 0; q < n_; ++q) {
-        if (gamma[size_t(q)] > 0.0)
-            applyAmplitudeDamping(q, gamma[size_t(q)]);
-        if (keep[size_t(q)] < 1.0)
-            applyDephasing(q, keep[size_t(q)]);
-    }
 }
 
 double

@@ -15,11 +15,9 @@
  * allocation — instead of two full passes over the matrix.  For
  * n >= 8 qubits the row-block loops split across the shared
  * common::parallelFor() pool (block-disjoint writes, so results are
- * independent of thread count).  The pre-fusion implementations are
- * retained as *Scalar reference paths; the kernel-equivalence suite
- * (tests/sim/kernel_equivalence_test.cc) pins optimized == scalar to
- * <= 1e-14 elementwise, and bench/bench_sim_speed.cc measures the
- * ratio.  See docs/performance.md.
+ * independent of thread count).  The kernel-equivalence suite
+ * (tests/sim/kernel_equivalence_test.cc) pins every kernel to a dense
+ * 2^n x 2^n oracle within 1e-10.  See docs/performance.md.
  */
 
 #ifndef QZZ_SIM_DENSITY_MATRIX_H
@@ -57,18 +55,8 @@ class DensityMatrix
     /** Virtual RZ. */
     void applyRz(int q, double theta);
 
-    /** rho[r,c] *= exp(-i (E[r] - E[c]) dt).
-     *
-     *  Scalar reference: one cos/sin pair per element per call.  The
-     *  optimized twin is applyPhaseVector() — the schedule
-     *  simulators precompute p once per layer and pay only complex
-     *  multiplies per step. */
-    void applyDiagonalPhase(const std::vector<double> &energies,
-                            double dt);
-
     /** rho[r,c] *= p[r] * conj(p[c]) for a unit-modulus phase vector
-     *  (p[i] = exp(-i E[i] dt), precomputed by the caller).  Agrees
-     *  with applyDiagonalPhase() to 1 ulp per element. */
+     *  (p[i] = exp(-i E[i] dt), precomputed by the caller). */
     void applyPhaseVector(const la::CVector &p);
 
     /** Amplitude damping with excited-state decay probability
@@ -86,23 +74,10 @@ class DensityMatrix
      * qubits.  Both vectors must have numQubits() entries.
      *
      * Fused: both channels for one qubit land in a single sweep over
-     * the matrix (the scalar path makes three).
+     * the matrix (applyAmplitudeDamping + applyDephasing make three).
      */
     void applyDecoherence(const std::vector<double> &gamma,
                           const std::vector<double> &keep);
-
-    /** @name Scalar reference kernels
-     *  The pre-vectorization implementations, element-by-element and
-     *  unfused.  Retained verbatim so the optimized kernels can be
-     *  regression-tested and benchmarked against them; used by the
-     *  simulators' scalar_reference mode.
-     *  @{
-     */
-    void apply1QScalar(const la::CMatrix &u, int q);
-    void apply2QScalar(const la::CMatrix &u, int q_hi, int q_lo);
-    void applyDecoherenceScalar(const std::vector<double> &gamma,
-                                const std::vector<double> &keep);
-    /** @} */
 
     /** <psi| rho |psi>. */
     double expectationPure(const StateVector &psi) const;

@@ -1,11 +1,10 @@
 /**
  * @file
  * The fused density-matrix hot-path kernels, in their own
- * translation unit so the build can hand just these loops the
- * vector ISA (QZZ_VECTOR_KERNELS) while the retained scalar
- * reference paths in density_matrix.cc keep the baseline codegen
- * they shipped with — the bench_sim_speed scalar/optimized ratio
- * then compares against the true pre-optimization engine.
+ * translation unit so the build can hand just these loops the vector ISA
+ * (QZZ_VECTOR_KERNELS): only the per-step sweeps of the Strang
+ * integrator gain from it, and the rest of the library keeps baseline
+ * codegen.
  */
 
 #include <cmath>
@@ -63,6 +62,7 @@ constexpr size_t kRowGrain = 8;      // row groups per pool block
 void
 DensityMatrix::apply1Q(const la::Mat2 &u, int q)
 {
+    require(q >= 0 && q < n_, "apply1Q: qubit out of range");
     const size_t stride = size_t(1) << bitPos(q);
     const size_t d = dim();
     const cplx u00 = u[0], u01 = u[1], u10 = u[2], u11 = u[3];
@@ -73,8 +73,8 @@ DensityMatrix::apply1Q(const la::Mat2 &u, int q)
     // U rho U^dag splits into independent 2x2 blocks over (row pair,
     // column pair); each block is transformed in registers in one
     // visit: left factor first (rows mix), then the right factor
-    // (columns mix) — the same arithmetic as the two-pass scalar
-    // kernel, in the same order, with half the memory traffic.
+    // (columns mix) — the same arithmetic as a left pass followed by
+    // a right pass, in the same order, with half the memory traffic.
     auto body = [&](size_t jlo, size_t jhi) {
         for (size_t j = jlo; j < jhi; ++j) {
             const size_t r0 = expandBit(j, stride);
@@ -107,6 +107,9 @@ DensityMatrix::apply1Q(const la::Mat2 &u, int q)
 void
 DensityMatrix::apply2Q(const la::Mat4 &u, int q_hi, int q_lo)
 {
+    require(q_hi >= 0 && q_hi < n_ && q_lo >= 0 && q_lo < n_,
+            "apply2Q: qubit out of range");
+    require(q_hi != q_lo, "apply2Q: distinct qubits required");
     const size_t s_hi = size_t(1) << bitPos(q_hi);
     const size_t s_lo = size_t(1) << bitPos(q_lo);
     const size_t d = dim();
@@ -118,8 +121,7 @@ DensityMatrix::apply2Q(const la::Mat4 &u, int q_hi, int q_lo)
     cplx *mm = rho_.data();
 
     // 4x4 blocks over (row quad, column quad), transformed in
-    // registers in one visit; accumulation order matches the scalar
-    // kernel's k-ascending loops.
+    // registers in one visit, accumulating k-ascending.
     auto body = [&](size_t jlo, size_t jhi) {
         for (size_t jr = jlo; jr < jhi; ++jr) {
             const size_t kr =
@@ -207,8 +209,8 @@ DensityMatrix::applyDecoherence(const std::vector<double> &gamma,
         const double om = 1.0 - g;
         const size_t stride = size_t(1) << bitPos(q);
 
-        // One sweep fuses the amplitude-damping update (the scalar
-        // path's two passes) with the dephasing scale: each 2x2 block
+        // One sweep fuses the amplitude-damping update
+        // (applyAmplitudeDamping's two passes) with the dephasing scale: each 2x2 block
         // over (row pair, column pair) in the qubit's bit is
         // independent, with the same per-element arithmetic as the
         // sequential channels.

@@ -64,40 +64,6 @@ drive2QStep(const PulseProgram &p, double t_mid, double dt, la::Mat4 &out)
     la::expmPropagator4(h, dt, out);
 }
 
-la::CMatrix
-drive1QStepScalar(const PulseProgram &p, double t_mid, double dt)
-{
-    const double ox = PulseProgram::eval(p.x_a, t_mid);
-    const double oy = PulseProgram::eval(p.y_a, t_mid);
-    return la::expPauli(ox * dt, oy * dt, 0.0);
-}
-
-la::CMatrix
-drive2QStepScalar(const PulseProgram &p, double t_mid, double dt)
-{
-    const double oxa = PulseProgram::eval(p.x_a, t_mid);
-    const double oya = PulseProgram::eval(p.y_a, t_mid);
-    const double oxb = PulseProgram::eval(p.x_b, t_mid);
-    const double oyb = PulseProgram::eval(p.y_b, t_mid);
-    const double oc = PulseProgram::eval(p.coupling, t_mid);
-    la::CMatrix h(4, 4);
-    const cplx da{oxa, -oya};
-    h(0, 2) += da;
-    h(1, 3) += da;
-    h(2, 0) += std::conj(da);
-    h(3, 1) += std::conj(da);
-    const cplx db{oxb, -oyb};
-    h(0, 1) += db;
-    h(2, 3) += db;
-    h(1, 0) += std::conj(db);
-    h(3, 2) += std::conj(db);
-    h(0, 1) += oc;
-    h(1, 0) += oc;
-    h(2, 3) += -oc;
-    h(3, 2) += -oc;
-    return la::expmPropagator(h, dt);
-}
-
 template <typename M>
 void
 StepPropagatorMemo::prepare(Slot<M> &slot, size_t step, double dt)

@@ -44,16 +44,6 @@ void drive1QStep(const pulse::PulseProgram &p, double t_mid, double dt,
 void drive2QStep(const pulse::PulseProgram &p, double t_mid, double dt,
                  la::Mat4 &out);
 
-/** @name Heap-returning seed variants
- *  Retained for the simulators' scalar_reference paths (one CMatrix
- *  allocation per gate per step, as the pre-optimization code did).
- *  @{ */
-la::CMatrix drive1QStepScalar(const pulse::PulseProgram &p, double t_mid,
-                              double dt);
-la::CMatrix drive2QStepScalar(const pulse::PulseProgram &p, double t_mid,
-                              double dt);
-/** @} */
-
 /**
  * Per-(gate kind, step) propagator cache for one integrator run.
  *

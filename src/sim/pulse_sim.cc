@@ -3,36 +3,20 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
+#include <type_traits>
+#include <variant>
 
 #include "common/error.h"
 #include "common/parallel.h"
+#include "sim/density_matrix.h"
 #include "sim/drive_step.h"
 
 namespace qzz::sim {
 
-using la::CMatrix;
 using la::cplx;
 using pulse::PulseGate;
 using pulse::PulseProgram;
-
-PulseScheduleSimulator::PulseScheduleSimulator(
-    const dev::Device &device, const pulse::PulseLibrary &library,
-    PulseSimOptions options)
-    : device_(device), library_(library), options_(options)
-{
-    require(options_.dt > 0.0, "PulseScheduleSimulator: bad dt");
-    std::vector<std::array<int, 2>> edges;
-    std::vector<double> lambdas;
-    for (const graph::Edge &e : device_.graph().edges()) {
-        edges.push_back({e.u, e.v});
-        lambdas.push_back(device_.coupling(e.id) *
-                          options_.crosstalk_scale);
-    }
-    zz_energies_ =
-        zzEnergyTable(device_.numQubits(), edges, lambdas);
-    if (options_.telemetry)
-        metrics_ = simMetrics("statevector");
-}
 
 la::CVector
 phaseVector(const std::vector<double> &energies, double dt)
@@ -46,6 +30,10 @@ phaseVector(const std::vector<double> &energies, double dt)
 }
 
 namespace {
+
+/** Metric label of each register's simulator (qzz_sim_*{sim=...}). */
+template <class Reg> constexpr const char *kFlavor = "statevector";
+template <> constexpr const char *kFlavor<DensityMatrix> = "density";
 
 /** One pulse job of a layer, with the library lookup done once. */
 struct Job
@@ -102,50 +90,166 @@ struct StepOp
     const la::Mat4 *u2 = nullptr;
 };
 
-/** A job as the step loop sees it: its kind and its register-local
- *  qubits (q1 = -1 for single-qubit jobs). */
-struct LocalJob
+/** A job as the step loop sees it: its kind and its qubits, local to
+ *  the sub-register after a split (q1 = -1 for single-qubit jobs). */
+struct StepJob
 {
     int kind;
     int q0, q1;
 };
 
+/** One physical layer, resolved for the step loop. */
+struct LayerPlan
+{
+    double dt = 0.0;
+    size_t steps = 0;
+    std::vector<StepJob> jobs;
+    /** steps x kKinds propagators, step-major. */
+    std::vector<StepOp> ops;
+};
+
+LayerPlan
+planLayer(const core::Layer &layer, const pulse::PulseLibrary &library,
+          double dt_opt, StepPropagatorMemo &memo)
+{
+    LayerPlan plan;
+    plan.steps = layerSteps(layer, dt_opt, plan.dt);
+    const std::vector<Job> jobs = collectJobs(layer, library);
+    plan.jobs.reserve(jobs.size());
+    for (const Job &j : jobs)
+        plan.jobs.push_back({pulseKindIndex(j.kind), j.q0, j.q1});
+
+    // Resolve every (step, kind) propagator here, before any fan-out:
+    // the memo is not thread-safe, and growing a slot invalidates the
+    // references it returned.  Walking the steps backwards makes each
+    // kind's first request its largest step, so a slot grows at most
+    // once and every pointer taken afterwards stays valid.  All jobs
+    // of a kind share one program, so they share the entry.
+    plan.ops.resize(plan.steps * kKinds);
+    for (size_t s = plan.steps; s-- > 0;) {
+        const double t_mid = (double(s) + 0.5) * plan.dt;
+        for (const Job &job : jobs) {
+            StepOp &op =
+                plan.ops[s * kKinds + size_t(pulseKindIndex(job.kind))];
+            if (op.u1 || op.u2 || t_mid >= job.program->duration)
+                continue; // resolved, or this kind's pulses have ended
+            if (job.q1 < 0)
+                op.u1 = &memo.get1Q(*job.program, job.kind, s, plan.dt);
+            else
+                op.u2 = &memo.get2Q(*job.program, job.kind, s, plan.dt);
+        }
+    }
+    return plan;
+}
+
+/** Clocks of one step loop, one per kernel class. */
+struct StepTimers
+{
+    explicit StepTimers(bool on) : phase(on), gate(on), decoh(on) {}
+    KernelTimer phase, gate, decoh;
+};
+
+/** Kernel-class wall times of one layer (ns).  Only a density matrix
+ *  times the decoherence class. */
+struct LayerTimes
+{
+    double phase = 0.0;
+    double gate = 0.0;
+    std::optional<double> decoh;
+};
+
+/** No channel between Strang steps: every state vector, and a density
+ *  matrix on a fully coherent device. */
+using NoChannel = std::monostate;
+
+/** The per-step T1/T2 Kraus sweep: decay probability gamma[q] and
+ *  dephasing retention keep[q] of every qubit over one step. */
+struct Decoherence
+{
+    std::vector<double> gamma, keep;
+};
+
+/** The Kraus factors for one step of @p dt, from the calibrated
+ *  T1(q)/T2(q); none on a fully coherent device.  dt is fixed within
+ *  a layer, so a layer computes them once. */
+std::optional<Decoherence>
+decoherence(const dev::Device &device, double dt)
+{
+    const int n = device.numQubits();
+    bool any = false;
+    for (int q = 0; q < n; ++q)
+        any = any || std::isfinite(device.t1(q)) ||
+              std::isfinite(device.t2(q));
+    if (!any)
+        return std::nullopt;
+    Decoherence d;
+    d.gamma.assign(size_t(n), 0.0);
+    d.keep.assign(size_t(n), 1.0);
+    for (int q = 0; q < n; ++q) {
+        // Each qubit decays at its own calibrated rates (the snapshot
+        // is heterogeneous in general): gamma from T1(q), and the
+        // pure-dephasing keep factor from 1/T_phi = 1/T2 - 1/(2 T1).
+        const double t1 = device.t1(q);
+        const double t2 = device.t2(q);
+        if (std::isfinite(t1))
+            d.gamma[size_t(q)] = 1.0 - std::exp(-dt / t1);
+        double rate_phi = 0.0;
+        if (std::isfinite(t2))
+            rate_phi = 1.0 / t2 - (std::isfinite(t1) ? 0.5 / t1 : 0.0);
+        rate_phi = std::max(0.0, rate_phi);
+        d.keep[size_t(q)] = std::exp(-dt * rate_phi);
+    }
+    return d;
+}
+
 /**
  * The Strang step loop of one layer on one register: the whole
  * register, or a sub-register with @p energies its slice of the ZZ
- * table.  @p ops holds steps x kKinds propagators, step-major.
+ * table.  Phases are diagonal, so without a channel between steps
+ * the trailing ZZ half-step of step s and the leading one of step
+ * s+1 merge into one full-step sweep: steps+1 phase applications
+ * instead of 2*steps.  A Kraus channel runs after every trailing
+ * half-step and keeps the halves apart.
  */
+template <class Reg, class Channel>
 void
-runSteps(StateVector &reg, const std::vector<double> &energies,
-         double dt, size_t steps, const std::vector<LocalJob> &jobs,
-         const std::vector<StepOp> &ops, KernelTimer &phase_t,
-         KernelTimer &gate_t)
+runSteps(Reg &reg, const std::vector<double> &energies,
+         const LayerPlan &plan, const std::vector<StepJob> &jobs,
+         [[maybe_unused]] const Channel &channel, StepTimers &t)
 {
-    // Phases are diagonal and the evolution has no mid-step Kraus
-    // channel, so the trailing ZZ half-step of step s and the leading
-    // one of step s+1 merge into one full-step sweep: steps+1 phase
-    // applications instead of 2*steps.
-    const la::CVector p_half = phaseVector(energies, dt / 2.0);
-    const la::CVector p_full =
-        steps > 1 ? phaseVector(energies, dt) : la::CVector{};
+    constexpr bool merge = std::is_same_v<Channel, NoChannel>;
+    const size_t steps = plan.steps;
+    const la::CVector p_half = phaseVector(energies, plan.dt / 2.0);
+    const la::CVector p_full = merge && steps > 1
+                                   ? phaseVector(energies, plan.dt)
+                                   : la::CVector{};
+    const auto phase = [&](const la::CVector &p) {
+        t.phase.start();
+        reg.applyPhaseVector(p);
+        t.phase.stop();
+    };
 
-    phase_t.start();
-    reg.applyPhaseVector(p_half);
-    phase_t.stop();
+    if constexpr (merge)
+        phase(p_half);
     for (size_t s = 0; s < steps; ++s) {
-        const StepOp *op = &ops[s * kKinds];
-        gate_t.start();
-        for (const LocalJob &j : jobs) {
+        if constexpr (!merge)
+            phase(p_half);
+        const StepOp *op = &plan.ops[s * kKinds];
+        t.gate.start();
+        for (const StepJob &j : jobs) {
             const StepOp &u = op[j.kind];
             if (u.u1)
                 reg.apply1Q(*u.u1, j.q0);
             else if (u.u2)
                 reg.apply2Q(*u.u2, j.q0, j.q1);
         }
-        gate_t.stop();
-        phase_t.start();
-        reg.applyPhaseVector(s + 1 < steps ? p_full : p_half);
-        phase_t.stop();
+        t.gate.stop();
+        phase(merge && s + 1 < steps ? p_full : p_half);
+        if constexpr (!merge) {
+            t.decoh.start();
+            reg.applyDecoherence(channel.gamma, channel.keep);
+            t.decoh.stop();
+        }
     }
 }
 
@@ -163,67 +267,21 @@ spliceIndex(size_t l, size_t part, const int *pos, int m)
     return l;
 }
 
-} // namespace
-
-void
-PulseScheduleSimulator::runLayer(const core::Layer &layer,
-                                 StateVector &psi) const
+/** A state vector has no channel.  From kMinSplitQubits on, each
+ *  layer splits on its idle qubits into sub-registers that run the
+ *  step loop side by side. */
+LayerTimes
+integrate(StateVector &psi, const std::vector<double> &zz,
+          const LayerPlan &plan, const dev::Device &, bool tm)
 {
-    StepPropagatorMemo memo;
-    runLayerImpl(layer, psi, memo);
-}
-
-void
-PulseScheduleSimulator::runLayerImpl(const core::Layer &layer,
-                                     StateVector &psi,
-                                     StepPropagatorMemo &memo) const
-{
-    if (layer.is_virtual) {
-        for (const core::ScheduledGate &sg : layer.gates) {
-            ensure(sg.gate.kind == ckt::GateKind::RZ,
-                   "virtual layer contains non-RZ gate");
-            psi.applyRz(sg.gate.qubits[0], sg.gate.params[0]);
-        }
-        return;
-    }
-    if (layer.duration <= 0.0)
-        return;
-    if (options_.scalar_reference) {
-        runLayerScalar(layer, psi);
-        return;
-    }
-
-    double dt = 0.0;
-    const size_t steps = layerSteps(layer, options_.dt, dt);
-    const std::vector<Job> jobs = collectJobs(layer, library_);
     const int n = psi.numQubits();
-
-    // Resolve every (step, kind) propagator here, before any fan-out:
-    // the memo is not thread-safe, and growing a slot invalidates the
-    // references it returned.  Walking the steps backwards makes each
-    // kind's first request its largest step, so a slot grows at most
-    // once and every pointer taken afterwards stays valid.  All jobs
-    // of a kind share one program, so they share the entry.
-    std::vector<StepOp> ops(steps * kKinds);
-    for (size_t s = steps; s-- > 0;) {
-        const double t_mid = (double(s) + 0.5) * dt;
-        for (const Job &job : jobs) {
-            StepOp &op = ops[s * kKinds + size_t(pulseKindIndex(job.kind))];
-            if (op.u1 || op.u2 || t_mid >= job.program->duration)
-                continue; // resolved, or this kind's pulses have ended
-            if (job.q1 < 0)
-                op.u1 = &memo.get1Q(*job.program, job.kind, s, dt);
-            else
-                op.u2 = &memo.get2Q(*job.program, job.kind, s, dt);
-        }
-    }
 
     // Split on up to two qubits no job touches, lowest index (highest
     // bit) first.  With those bits fixed the register falls apart into
     // 2^m sub-registers: the ZZ phase is diagonal and every job acts
     // inside one sub-register, so each runs the whole layer alone.
     uint64_t busy = 0;
-    for (const Job &j : jobs)
+    for (const StepJob &j : plan.jobs)
         busy |= (uint64_t(1) << j.q0) |
                 (j.q1 >= 0 ? uint64_t(1) << j.q1 : 0);
     int split[kMaxSplitQubits] = {};
@@ -237,26 +295,25 @@ PulseScheduleSimulator::runLayerImpl(const core::Layer &layer,
         return q - int(std::count_if(split, split + m,
                                      [&](int sq) { return sq < q; }));
     };
-    std::vector<LocalJob> local;
-    local.reserve(jobs.size());
-    for (const Job &j : jobs)
-        local.push_back({pulseKindIndex(j.kind), localQubit(j.q0),
-                         j.q1 < 0 ? -1 : localQubit(j.q1)});
+    std::vector<StepJob> local;
+    local.reserve(plan.jobs.size());
+    for (const StepJob &j : plan.jobs)
+        local.push_back(
+            {j.kind, localQubit(j.q0), j.q1 < 0 ? -1 : localQubit(j.q1)});
 
-    const bool tm = metrics_.enabled();
     const size_t parts = size_t(1) << m;
     double phase_ns[1 << kMaxSplitQubits] = {};
     double gate_ns[1 << kMaxSplitQubits] = {};
-    const auto integrate = [&](StateVector &reg,
-                               const std::vector<double> &energies,
-                               size_t part) {
-        KernelTimer phase_t(tm), gate_t(tm);
-        runSteps(reg, energies, dt, steps, local, ops, phase_t, gate_t);
-        phase_ns[part] = phase_t.ns();
-        gate_ns[part] = gate_t.ns();
+    const auto run = [&](StateVector &reg,
+                         const std::vector<double> &energies,
+                         size_t part) {
+        StepTimers t(tm);
+        runSteps(reg, energies, plan, local, NoChannel{}, t);
+        phase_ns[part] = t.phase.ns();
+        gate_ns[part] = t.gate.ns();
     };
     if (m == 0) {
-        integrate(psi, zz_energies_, 0);
+        run(psi, zz, 0);
     } else {
         // Bit positions of the split qubits, ascending (split[] holds
         // descending positions), so part bit i sits at pos[i].
@@ -271,9 +328,9 @@ PulseScheduleSimulator::runLayerImpl(const core::Layer &layer,
                 for (size_t l = 0; l < sub.dim(); ++l) {
                     const size_t k = spliceIndex(l, part, pos, m);
                     sub.amplitudes()[l] = amps[k];
-                    energies[l] = zz_energies_[k];
+                    energies[l] = zz[k];
                 }
-                integrate(sub, energies, part);
+                run(sub, energies, part);
                 for (size_t l = 0; l < sub.dim(); ++l)
                     amps[spliceIndex(l, part, pos, m)] =
                         sub.amplitudes()[l];
@@ -281,79 +338,111 @@ PulseScheduleSimulator::runLayerImpl(const core::Layer &layer,
         });
     }
 
-    if (tm) {
-        // Sub-registers run side by side, so the mean over them is the
-        // layer's wall time in each kernel class.
-        double phase = 0.0, gate = 0.0;
-        for (size_t part = 0; part < parts; ++part) {
-            phase += phase_ns[part];
-            gate += gate_ns[part];
-        }
-        metrics_.layers->inc();
-        metrics_.steps->inc(steps);
-        metrics_.phase_ns->observe(phase / double(parts));
-        metrics_.gate_ns->observe(gate / double(parts));
+    // Sub-registers run side by side, so the mean over them is the
+    // layer's wall time in each kernel class.
+    LayerTimes times;
+    for (size_t part = 0; part < parts; ++part) {
+        times.phase += phase_ns[part];
+        times.gate += gate_ns[part];
     }
+    times.phase /= double(parts);
+    times.gate /= double(parts);
+    return times;
 }
 
-void
-PulseScheduleSimulator::runLayerScalar(const core::Layer &layer,
-                                       StateVector &psi) const
+/** A density matrix runs unsplit, with the Kraus sweep whenever the
+ *  device has a finite T1 or T2. */
+LayerTimes
+integrate(DensityMatrix &rho, const std::vector<double> &zz,
+          const LayerPlan &plan, const dev::Device &device, bool tm)
 {
-    double dt = 0.0;
-    const size_t steps = layerSteps(layer, options_.dt, dt);
-    const std::vector<Job> jobs = collectJobs(layer, library_);
+    StepTimers t(tm);
+    if (const std::optional<Decoherence> d = decoherence(device, plan.dt))
+        runSteps(rho, zz, plan, plan.jobs, *d, t);
+    else
+        runSteps(rho, zz, plan, plan.jobs, NoChannel{}, t);
+    return {t.phase.ns(), t.gate.ns(), t.decoh.ns()};
+}
 
-    for (size_t s = 0; s < steps; ++s) {
-        const double t_mid = (double(s) + 0.5) * dt;
-        psi.applyDiagonalPhase(zz_energies_, dt / 2.0);
+} // namespace
 
-        // Per-kind propagator cache: simultaneous gates of one kind
-        // share the same waveforms.
-        CMatrix cached[3];
-        bool have[3] = {false, false, false};
-        for (const Job &j : jobs) {
-            if (t_mid >= j.program->duration)
-                continue;
-            const int ki = pulseKindIndex(j.kind);
-            if (!have[ki]) {
-                cached[ki] =
-                    j.q1 < 0
-                        ? drive1QStepScalar(*j.program, t_mid, dt)
-                        : drive2QStepScalar(*j.program, t_mid, dt);
-                have[ki] = true;
-            }
-            if (j.q1 < 0)
-                psi.apply1Q(cached[ki], j.q0);
-            else
-                psi.apply2Q(cached[ki], j.q0, j.q1);
-        }
-
-        psi.applyDiagonalPhase(zz_energies_, dt / 2.0);
+template <class Reg>
+ScheduleSimulator<Reg>::ScheduleSimulator(const dev::Device &device,
+                                          const pulse::PulseLibrary &library,
+                                          PulseSimOptions options)
+    : device_(device), library_(library), options_(options)
+{
+    require(options_.dt > 0.0, "ScheduleSimulator: bad dt");
+    std::vector<std::array<int, 2>> edges;
+    std::vector<double> lambdas;
+    for (const graph::Edge &e : device_.graph().edges()) {
+        edges.push_back({e.u, e.v});
+        lambdas.push_back(device_.coupling(e.id) *
+                          options_.crosstalk_scale);
     }
+    zz_energies_ = zzEnergyTable(device_.numQubits(), edges, lambdas);
+    if (options_.telemetry)
+        metrics_ = simMetrics(kFlavor<Reg>);
+}
+
+template <class Reg>
+void
+ScheduleSimulator<Reg>::runLayer(const core::Layer &layer, Reg &reg) const
+{
+    StepPropagatorMemo memo;
+    runLayer(layer, reg, memo);
+}
+
+template <class Reg>
+void
+ScheduleSimulator<Reg>::runLayer(const core::Layer &layer, Reg &reg,
+                                 StepPropagatorMemo &memo) const
+{
+    if (layer.is_virtual) {
+        for (const core::ScheduledGate &sg : layer.gates) {
+            ensure(sg.gate.kind == ckt::GateKind::RZ,
+                   "virtual layer contains non-RZ gate");
+            reg.applyRz(sg.gate.qubits[0], sg.gate.params[0]);
+        }
+        return;
+    }
+    if (layer.duration <= 0.0)
+        return;
+
+    const LayerPlan plan = planLayer(layer, library_, options_.dt, memo);
+    const LayerTimes times =
+        integrate(reg, zz_energies_, plan, device_, metrics_.enabled());
     if (metrics_.enabled()) {
         metrics_.layers->inc();
-        metrics_.steps->inc(steps);
+        metrics_.steps->inc(plan.steps);
+        metrics_.phase_ns->observe(times.phase);
+        metrics_.gate_ns->observe(times.gate);
+        if (times.decoh)
+            metrics_.decoh_ns->observe(*times.decoh);
     }
 }
 
+template <class Reg>
 void
-PulseScheduleSimulator::run(const core::Schedule &schedule,
-                            StateVector &psi) const
+ScheduleSimulator<Reg>::run(const core::Schedule &schedule, Reg &reg) const
 {
     require(schedule.num_qubits == device_.numQubits(),
-            "PulseScheduleSimulator::run: schedule/device mismatch");
+            "ScheduleSimulator::run: schedule/device mismatch");
     StepPropagatorMemo memo;
     for (const core::Layer &layer : schedule.layers)
-        runLayerImpl(layer, psi, memo);
+        runLayer(layer, reg, memo);
 }
 
-StateVector
-PulseScheduleSimulator::run(const core::Schedule &schedule) const
+template <class Reg>
+Reg
+ScheduleSimulator<Reg>::run(const core::Schedule &schedule) const
 {
-    StateVector psi(device_.numQubits());
-    run(schedule, psi);
-    return psi;
+    Reg reg(device_.numQubits());
+    run(schedule, reg);
+    return reg;
 }
+
+template class ScheduleSimulator<StateVector>;
+template class ScheduleSimulator<DensityMatrix>;
 
 } // namespace qzz::sim

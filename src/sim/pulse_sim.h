@@ -1,6 +1,8 @@
 /**
  * @file
- * Pulse-level simulation of a full schedule on a device.
+ * Pulse-level simulation of a full schedule on a device: one Strang
+ * integrator for both registers, the state vector (fig. 20) and the
+ * density matrix with T1/T2 (fig. 23, sim/lindblad.h).
  *
  * Within each physical layer the register evolves under
  *   H(t) = sum_gates H_gate(t)  +  sum_couplings lambda_e sz sz
@@ -10,7 +12,11 @@
  * another ZZ half-step.  Local propagators are exact matrix
  * exponentials of the instantaneous drive Hamiltonian, computed once
  * per time step per *gate kind* (all simultaneous SX gates share one
- * 2x2, etc.).
+ * 2x2, etc.).  When no channel sits between two steps, the trailing
+ * half-step of one and the leading half-step of the next merge into
+ * one full-step sweep.  A density matrix on a device with a finite
+ * T1 or T2 takes the Kraus sweep after each trailing half-step
+ * instead.
  *
  * Qubits without pulses simply sit in the ZZ bath — exactly the
  * physics the paper's scheduling fights.
@@ -46,32 +52,27 @@ struct PulseSimOptions
     /** Global scale on all coupling strengths (0 disables ZZ —
      *  used by calibration tests). */
     double crosstalk_scale = 1.0;
-    /** Integrate with the retained pre-optimization path (per-step
-     *  cos/sin phase sweeps, per-gate propagator recomputes, unfused
-     *  kernels).  The optimized path matches it to integrator
-     *  accuracy; this switch exists for the kernel-equivalence tests
-     *  and the bench_sim_speed baseline. */
-    bool scalar_reference = false;
     /** Publish qzz_sim_* metrics to the global MetricsRegistry. */
     bool telemetry = true;
 };
 
-/** Simulates schedules against one device + pulse library. */
-class PulseScheduleSimulator
+/** Simulates schedules on one register type (StateVector or
+ *  DensityMatrix) against one device + pulse library. */
+template <class Reg> class ScheduleSimulator
 {
   public:
-    PulseScheduleSimulator(const dev::Device &device,
-                           const pulse::PulseLibrary &library,
-                           PulseSimOptions options = {});
+    ScheduleSimulator(const dev::Device &device,
+                      const pulse::PulseLibrary &library,
+                      PulseSimOptions options = {});
 
     /** Evolve |0..0> through the schedule. */
-    StateVector run(const core::Schedule &schedule) const;
+    Reg run(const core::Schedule &schedule) const;
 
     /** Evolve a caller-prepared state through the schedule. */
-    void run(const core::Schedule &schedule, StateVector &psi) const;
+    void run(const core::Schedule &schedule, Reg &reg) const;
 
     /** Evolve one physical layer. */
-    void runLayer(const core::Layer &layer, StateVector &psi) const;
+    void runLayer(const core::Layer &layer, Reg &reg) const;
 
   private:
     // Owned copies: simulators must stay valid regardless of the
@@ -84,11 +85,12 @@ class PulseScheduleSimulator
 
     /** One layer against a caller-owned propagator memo (run() keeps
      *  one across layers so equal-dt layers share entries). */
-    void runLayerImpl(const core::Layer &layer, StateVector &psi,
-                      StepPropagatorMemo &memo) const;
-    /** The retained seed integrator (scalar_reference option). */
-    void runLayerScalar(const core::Layer &layer, StateVector &psi) const;
+    void runLayer(const core::Layer &layer, Reg &reg,
+                  StepPropagatorMemo &memo) const;
 };
+
+/** The closed-system simulator of pure states (fig. 20). */
+using PulseScheduleSimulator = ScheduleSimulator<StateVector>;
 
 /** Unit phase table p[k] = exp(-i energies[k] dt), precomputed once
  *  per layer by the simulators and applied per step. */

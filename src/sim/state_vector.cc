@@ -1,8 +1,8 @@
-// The optimized kernels (apply1Q(Mat2)/apply2Q(Mat4)/
+// The hot-path kernels (apply1Q(Mat2)/apply2Q(Mat4)/
 // applyPhaseVector) live in state_vector_kernels.cc, the only
 // translation unit the build compiles with the vector ISA; this
-// file keeps the constructor, the retained scalar reference paths,
-// and the observables at baseline codegen.
+// file keeps the constructor, the CMatrix gate overloads, RZ and the
+// observables at baseline codegen.
 
 #include "sim/state_vector.h"
 
@@ -79,18 +79,6 @@ StateVector::applyRz(int q, double theta)
     const cplx p1 = std::exp(cplx{0.0, theta / 2.0});
     for (size_t k = 0; k < amps_.size(); ++k)
         amps_[k] *= (k & mask) ? p1 : p0;
-}
-
-void
-StateVector::applyDiagonalPhase(const std::vector<double> &energies,
-                                double dt)
-{
-    require(energies.size() == amps_.size(),
-            "applyDiagonalPhase: table size mismatch");
-    for (size_t k = 0; k < amps_.size(); ++k) {
-        const double phi = energies[k] * dt;
-        amps_[k] *= cplx{std::cos(phi), -std::sin(phi)};
-    }
 }
 
 double

@@ -46,13 +46,6 @@ class StateVector
     /** Apply exp(-i theta/2 Z) on qubit @p q (virtual RZ). */
     void applyRz(int q, double theta);
 
-    /** Multiply amplitude k by exp(-i energies[k] * dt).
-     *  Scalar reference: one cos/sin pair per amplitude per call; the
-     *  schedule simulators precompute the phases once per layer and
-     *  use applyPhaseVector() instead. */
-    void applyDiagonalPhase(const std::vector<double> &energies,
-                            double dt);
-
     /** Multiply amplitude k by the precomputed unit phase p[k]. */
     void applyPhaseVector(const la::CVector &p);
 

@@ -1,11 +1,10 @@
 /**
  * @file
- * The optimized state-vector hot-path kernels, in their own
- * translation unit so the build can hand just these loops the
- * vector ISA (QZZ_VECTOR_KERNELS) while the retained scalar
- * reference paths in state_vector.cc keep the baseline codegen
- * they shipped with — the bench_sim_speed scalar/optimized ratio
- * then compares against the true pre-optimization engine.
+ * The state-vector hot-path kernels, in their own translation unit
+ * so the build can hand just these loops the vector ISA
+ * (QZZ_VECTOR_KERNELS): only the per-step sweeps of the Strang
+ * integrator gain from it, and the rest of the library keeps baseline
+ * codegen.
  */
 
 #include <cmath>

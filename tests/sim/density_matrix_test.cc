@@ -7,6 +7,7 @@
 #include "circuit/gate.h"
 #include "common/error.h"
 #include "common/units.h"
+#include "sim/pulse_sim.h"
 
 namespace qzz::sim {
 namespace {
@@ -56,8 +57,9 @@ TEST(DensityMatrixTest, DiagonalPhaseMatchesStateVector)
         rho.apply1Q(h, q);
     }
     auto table = zzEnergyTable(2, {{0, 1}}, {khz(300.0)});
-    psi.applyDiagonalPhase(table, 15.0);
-    rho.applyDiagonalPhase(table, 15.0);
+    const la::CVector phases = phaseVector(table, 15.0);
+    psi.applyPhaseVector(phases);
+    rho.applyPhaseVector(phases);
     EXPECT_NEAR(rho.expectationPure(psi), 1.0, 1e-12);
 }
 
@@ -133,6 +135,34 @@ TEST(DensityMatrixTest, MixedStateExpectation)
     StateVector plus(1);
     plus.apply1Q(ckt::gateMatrix({ckt::GateKind::H, {0}}), 0);
     EXPECT_NEAR(rho.expectationPure(plus), 0.5, 1e-12);
+}
+
+TEST(DensityMatrixTest, QubitIndicesAreRangeChecked)
+{
+    // Every overload that takes a qubit: an out-of-range index would
+    // shift by a negative amount and write outside the matrix, and a
+    // repeated 2Q index would corrupt it silently.
+    DensityMatrix rho(3);
+    const la::CMatrix u2 = ckt::gateMatrix({ckt::GateKind::H, {0}});
+    const la::CMatrix u4 = ckt::gateMatrix({ckt::GateKind::CX, {0, 1}});
+    const la::Mat2 m2 = la::toMat2(u2);
+    const la::Mat4 m4 = la::toMat4(u4);
+    for (int bad : {-1, 3, 7}) {
+        EXPECT_THROW(rho.apply1Q(u2, bad), UserError) << bad;
+        EXPECT_THROW(rho.apply1Q(m2, bad), UserError) << bad;
+        EXPECT_THROW(rho.apply2Q(u4, bad, 0), UserError) << bad;
+        EXPECT_THROW(rho.apply2Q(u4, 0, bad), UserError) << bad;
+        EXPECT_THROW(rho.apply2Q(m4, bad, 0), UserError) << bad;
+        EXPECT_THROW(rho.apply2Q(m4, 0, bad), UserError) << bad;
+        EXPECT_THROW(rho.applyRz(bad, 0.3), UserError) << bad;
+        EXPECT_THROW(rho.applyAmplitudeDamping(bad, 0.1), UserError) << bad;
+        EXPECT_THROW(rho.applyDephasing(bad, 0.9), UserError) << bad;
+    }
+    EXPECT_THROW(rho.apply2Q(m4, 1, 1), UserError);
+    EXPECT_THROW(rho.apply2Q(u4, 2, 2), UserError);
+    // Nothing was written: the register is still |000><000|.
+    EXPECT_EQ(rho.matrix()(0, 0), la::cplx(1.0, 0.0));
+    EXPECT_NEAR(rho.matrix().frobeniusNorm(), 1.0, 1e-15);
 }
 
 } // namespace

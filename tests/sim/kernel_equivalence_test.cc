@@ -1,19 +1,22 @@
 /**
  * @file
- * Optimized-kernel vs scalar-reference equivalence suite.
+ * Register kernels and the Strang integrator against a dense oracle.
  *
- * The fused density-matrix kernels, the memoized step propagators,
- * and the phase-vector sweeps are performance rewrites that must not
- * move physics: every test here pins an optimized path against the
- * retained scalar reference on randomized states, across register
- * sizes that cover both the serial (n < 8) and the pool-split
- * (n >= 8) kernels.  The state-vector simulator's idle-qubit
- * sub-register split (n >= 9) is also pinned to the same run made
- * serially.  Runs under ASan and TSan in CI (label unit-service), so
- * the shared-pool splits are raced deliberately.
+ * The fused density-matrix kernels, the state-vector kernels, the
+ * memoized step propagators, the phase-vector sweeps and the
+ * simulators' shared step loop are all performance code that must
+ * not move physics.  Every test here pins them to the dense 2^n x 2^n
+ * reference of dense_oracle.h on randomized states, within 1e-10,
+ * across register sizes that cover both the serial (n < 8) and the
+ * pool-split (n >= 8) density-matrix kernels and the state vector's
+ * idle-qubit sub-register split (n >= 9).  The split is also pinned
+ * bit for bit across thread counts.  Runs under ASan and TSan in CI
+ * (label unit-service), so the shared-pool splits are raced
+ * deliberately.
  */
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -22,6 +25,7 @@
 #include "common/units.h"
 #include "core/par_sched.h"
 #include "core/zzx_sched.h"
+#include "dense_oracle.h"
 #include "graph/topologies.h"
 #include "linalg/expm.h"
 #include "sim/density_matrix.h"
@@ -34,6 +38,10 @@ namespace {
 
 using la::CMatrix;
 using la::cplx;
+using oracle::maxAbsDiff;
+
+/** Agreement bound between a register and the dense oracle. */
+constexpr double kTol = 1e-10;
 
 CMatrix
 randomMatrix(Rng &rng, size_t n)
@@ -57,9 +65,6 @@ randomUnitary(Rng &rng, size_t n)
 DensityMatrix
 randomState(Rng &rng, int n)
 {
-    // A random mixed state: conjugate a random diagonal by a random
-    // unitary-ish matrix; normalization is irrelevant for kernel
-    // equivalence, only the element values matter.
     DensityMatrix dm(n);
     CMatrix &rho = dm.matrix();
     rho = randomMatrix(rng, dm.dim());
@@ -68,46 +73,103 @@ randomState(Rng &rng, int n)
     return dm;
 }
 
-double
-maxAbsDiff(const CMatrix &a, const CMatrix &b)
+StateVector
+randomPureState(Rng &rng, int n)
 {
-    double worst = 0.0;
-    for (size_t r = 0; r < a.rows(); ++r)
-        for (size_t c = 0; c < a.cols(); ++c)
-            worst = std::max(worst, std::abs(a(r, c) - b(r, c)));
-    return worst;
+    StateVector psi(n);
+    double norm2 = 0.0;
+    for (cplx &a : psi.amplitudes()) {
+        a = cplx{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+        norm2 += std::norm(a);
+    }
+    for (cplx &a : psi.amplitudes())
+        a /= std::sqrt(norm2);
+    return psi;
 }
 
-TEST(KernelEquivalence, Fused1QMatchesScalarAcrossSizes)
+/** Largest |amplitude difference| between a state vector and an
+ *  oracle column. */
+double
+maxAbsDiff(const StateVector &psi, const oracle::Dense &col)
+{
+    return maxAbsDiff(oracle::column(psi.amplitudes()), col);
+}
+
+/** A random per-qubit mix of lossy, dephasing-only, damping-only and
+ *  coherent qubits, so every fused-branch combination is exercised. */
+void
+randomDecoherence(Rng &rng, int n, std::vector<double> &gamma,
+                  std::vector<double> &keep)
+{
+    gamma.assign(size_t(n), 0.0);
+    keep.assign(size_t(n), 1.0);
+    for (int q = 0; q < n; ++q) {
+        if (q % 4 == 0 || q % 4 == 2)
+            gamma[size_t(q)] = rng.uniform(0.0, 0.2);
+        if (q % 4 == 0 || q % 4 == 1)
+            keep[size_t(q)] = rng.uniform(0.8, 1.0);
+    }
+}
+
+/** The oracle's sequential channels for the factors of
+ *  DensityMatrix::applyDecoherence. */
+void
+oracleDecoherence(const std::vector<double> &gamma,
+                  const std::vector<double> &keep, oracle::Dense &rho)
+{
+    const int n = int(gamma.size());
+    for (int q = 0; q < n; ++q) {
+        oracle::applyKraus(oracle::amplitudeDamping(q, n, gamma[size_t(q)]),
+                           rho);
+        oracle::applyKraus(oracle::dephasing(q, n, keep[size_t(q)]), rho);
+    }
+}
+
+TEST(KernelEquivalence, Fused1QMatchesDenseOracleAcrossSizes)
 {
     Rng rng(11);
-    for (int n = 2; n <= 8; ++n) {
+    for (int n = 2; n <= 7; ++n) {
         const CMatrix u = randomUnitary(rng, 2);
         for (int q = 0; q < n; ++q) {
-            DensityMatrix a = randomState(rng, n);
-            DensityMatrix b = a;
-            a.apply1Q(u, q);
-            b.apply1QScalar(u, q);
-            EXPECT_LE(maxAbsDiff(a.matrix(), b.matrix()), 1e-14)
+            const CMatrix full = la::embed(u, {q}, n);
+            DensityMatrix rho = randomState(rng, n);
+            oracle::Dense want = rho.matrix();
+            rho.apply1Q(la::toMat2(u), q);
+            oracle::apply(full, want);
+            EXPECT_LE(maxAbsDiff(rho.matrix(), want), kTol)
                 << "n=" << n << " q=" << q;
+
+            StateVector psi = randomPureState(rng, n);
+            oracle::Dense col = oracle::column(psi.amplitudes());
+            psi.apply1Q(la::toMat2(u), q);
+            oracle::apply(full, col);
+            EXPECT_LE(maxAbsDiff(psi, col), kTol) << "n=" << n << " q=" << q;
         }
     }
 }
 
-TEST(KernelEquivalence, Fused2QMatchesScalarAcrossPairs)
+TEST(KernelEquivalence, Fused2QMatchesDenseOracleAcrossPairs)
 {
     Rng rng(12);
-    for (int n = 2; n <= 8; ++n) {
+    for (int n = 2; n <= 6; ++n) {
         const CMatrix u = randomUnitary(rng, 4);
         for (int qa = 0; qa < n; ++qa)
             for (int qb = 0; qb < n; ++qb) {
                 if (qa == qb)
                     continue;
-                DensityMatrix a = randomState(rng, n);
-                DensityMatrix b = a;
-                a.apply2Q(u, qa, qb);
-                b.apply2QScalar(u, qa, qb);
-                EXPECT_LE(maxAbsDiff(a.matrix(), b.matrix()), 1e-14)
+                const CMatrix full = la::embed(u, {qa, qb}, n);
+                DensityMatrix rho = randomState(rng, n);
+                oracle::Dense want = rho.matrix();
+                rho.apply2Q(la::toMat4(u), qa, qb);
+                oracle::apply(full, want);
+                EXPECT_LE(maxAbsDiff(rho.matrix(), want), kTol)
+                    << "n=" << n << " pair=(" << qa << "," << qb << ")";
+
+                StateVector psi = randomPureState(rng, n);
+                oracle::Dense col = oracle::column(psi.amplitudes());
+                psi.apply2Q(la::toMat4(u), qa, qb);
+                oracle::apply(full, col);
+                EXPECT_LE(maxAbsDiff(psi, col), kTol)
                     << "n=" << n << " pair=(" << qa << "," << qb << ")";
             }
     }
@@ -116,36 +178,14 @@ TEST(KernelEquivalence, Fused2QMatchesScalarAcrossPairs)
 TEST(KernelEquivalence, FusedDecoherenceMatchesSequentialChannels)
 {
     Rng rng(13);
-    for (int n = 2; n <= 8; ++n) {
-        std::vector<double> gamma(size_t(n), 0.0);
-        std::vector<double> keep(size_t(n), 1.0);
-        for (int q = 0; q < n; ++q) {
-            // Mix lossy, dephasing-only, damping-only, and coherent
-            // qubits so every fused-branch combination is exercised.
-            switch (q % 4) {
-            case 0:
-                gamma[size_t(q)] = rng.uniform(0.0, 0.2);
-                keep[size_t(q)] = rng.uniform(0.8, 1.0);
-                break;
-            case 1:
-                gamma[size_t(q)] = 0.0;
-                keep[size_t(q)] = rng.uniform(0.8, 1.0);
-                break;
-            case 2:
-                gamma[size_t(q)] = rng.uniform(0.0, 0.2);
-                keep[size_t(q)] = 1.0;
-                break;
-            default:
-                gamma[size_t(q)] = 0.0;
-                keep[size_t(q)] = 1.0;
-                break;
-            }
-        }
-        DensityMatrix a = randomState(rng, n);
-        DensityMatrix b = a;
-        a.applyDecoherence(gamma, keep);
-        b.applyDecoherenceScalar(gamma, keep);
-        EXPECT_LE(maxAbsDiff(a.matrix(), b.matrix()), 1e-14) << "n=" << n;
+    for (int n = 2; n <= 7; ++n) {
+        std::vector<double> gamma, keep;
+        randomDecoherence(rng, n, gamma, keep);
+        DensityMatrix rho = randomState(rng, n);
+        oracle::Dense want = rho.matrix();
+        rho.applyDecoherence(gamma, keep);
+        oracleDecoherence(gamma, keep, want);
+        EXPECT_LE(maxAbsDiff(rho.matrix(), want), kTol) << "n=" << n;
     }
 }
 
@@ -157,13 +197,11 @@ TEST(KernelEquivalence, PhaseVectorMatchesDiagonalPhase)
         for (double &e : energies)
             e = rng.uniform(-5.0, 5.0);
         const double dt = 0.087;
-        DensityMatrix a = randomState(rng, n);
-        DensityMatrix b = a;
-        a.applyPhaseVector(phaseVector(energies, dt));
-        b.applyDiagonalPhase(energies, dt);
-        // Not bit-identical (different trig evaluation), but the
-        // phases agree to ~1 ulp per element.
-        EXPECT_LE(maxAbsDiff(a.matrix(), b.matrix()), 1e-13) << "n=" << n;
+        DensityMatrix rho = randomState(rng, n);
+        oracle::Dense want = rho.matrix();
+        rho.applyPhaseVector(phaseVector(energies, dt));
+        oracle::apply(oracle::diagonalPhase(energies, dt), want);
+        EXPECT_LE(maxAbsDiff(rho.matrix(), want), kTol) << "n=" << n;
     }
 }
 
@@ -174,15 +212,12 @@ TEST(KernelEquivalence, StateVectorPhaseVectorMatchesDiagonalPhase)
     std::vector<double> energies(size_t(1) << n);
     for (double &e : energies)
         e = rng.uniform(-5.0, 5.0);
-    StateVector a(n), b(n);
-    for (size_t k = 0; k < a.dim(); ++k)
-        a.amplitudes()[k] = b.amplitudes()[k] =
-            cplx{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+    StateVector psi = randomPureState(rng, n);
+    oracle::Dense want = oracle::column(psi.amplitudes());
     const double dt = 0.059;
-    a.applyPhaseVector(phaseVector(energies, dt));
-    b.applyDiagonalPhase(energies, dt);
-    for (size_t k = 0; k < a.dim(); ++k)
-        EXPECT_LE(std::abs(a.amplitudes()[k] - b.amplitudes()[k]), 1e-13);
+    psi.applyPhaseVector(phaseVector(energies, dt));
+    oracle::apply(oracle::diagonalPhase(energies, dt), want);
+    EXPECT_LE(maxAbsDiff(psi, want), kTol);
 }
 
 TEST(KernelEquivalence, FixedSizePropagatorMatchesHeapExpm)
@@ -220,6 +255,13 @@ TEST(KernelEquivalence, MemoizedPropagatorsMatchDirectComputation)
         const la::Mat4 &c4 = memo.get2Q(rzx, pulse::PulseGate::RZX, s, dt);
         for (size_t i = 0; i < 16; ++i)
             EXPECT_EQ(m4[i], c4[i]);
+        // And both match the oracle's own Hamiltonians.
+        const CMatrix o2 = oracle::driveStep(sx, t_mid, dt);
+        const CMatrix o4 = oracle::driveStep(rzx, t_mid, dt);
+        for (size_t i = 0; i < 4; ++i)
+            EXPECT_LE(std::abs(c2[i] - o2(i / 2, i % 2)), kTol);
+        for (size_t i = 0; i < 16; ++i)
+            EXPECT_LE(std::abs(c4[i] - o4(i / 4, i % 4)), kTol);
     }
     // The second pass over the same steps must hit the cache.
     const auto misses = memo.misses();
@@ -253,98 +295,98 @@ fig23StyleSchedule(const dev::Device &dev, int n)
     return core::parSchedule(c, dev, core::GateDurations{});
 }
 
-TEST(KernelEquivalence, DensitySimulatorMatchesScalarReferencePath)
+TEST(KernelEquivalence, DensitySimulatorMatchesDenseOracle)
 {
+    // Coherent device: the merged-half-step branch of the loop.
     const auto dev = gridDevice(2, 3);
     const auto sched = fig23StyleSchedule(dev, 6);
     const auto lib = pulse::PulseLibrary::gaussian();
+    PulseSimOptions opt;
+    opt.dt = 0.1;
 
-    PulseSimOptions fast;
-    fast.dt = 0.1;
-    PulseSimOptions ref = fast;
-    ref.scalar_reference = true;
-
-    DensityMatrix a =
-        DensityMatrixScheduleSimulator(dev, lib, fast).run(sched);
-    DensityMatrix b =
-        DensityMatrixScheduleSimulator(dev, lib, ref).run(sched);
-    // Memoized propagators are exact; only the phase sweeps differ at
-    // the last ulp per step, so the paths track each other to ~1e-12
-    // over a thousand steps.
-    EXPECT_LE(maxAbsDiff(a.matrix(), b.matrix()), 1e-11);
-    EXPECT_NEAR(a.trace(), 1.0, 1e-9);
+    Rng rng(21);
+    DensityMatrix rho = randomState(rng, 6);
+    oracle::Dense want = rho.matrix();
+    DensityMatrixScheduleSimulator(dev, lib, opt).run(sched, rho);
+    oracle::runSchedule(sched, dev, lib, opt.dt, false, want);
+    EXPECT_LE(maxAbsDiff(rho.matrix(), want), kTol);
+    EXPECT_NEAR(rho.trace(), 1.0, 1e-9);
 }
 
-TEST(KernelEquivalence, StateVectorSimulatorMatchesScalarReferencePath)
+TEST(KernelEquivalence, StateVectorSimulatorMatchesDenseOracle)
 {
     const auto dev = gridDevice(2, 3);
     const auto sched = fig23StyleSchedule(dev, 6);
     const auto lib = pulse::PulseLibrary::gaussian();
+    PulseSimOptions opt;
+    opt.dt = 0.1;
 
-    PulseSimOptions fast;
-    fast.dt = 0.1;
-    PulseSimOptions ref = fast;
-    ref.scalar_reference = true;
-
-    StateVector a = PulseScheduleSimulator(dev, lib, fast).run(sched);
-    StateVector b = PulseScheduleSimulator(dev, lib, ref).run(sched);
-    EXPECT_GT(a.fidelity(b), 1.0 - 1e-10);
-    for (size_t k = 0; k < a.dim(); ++k)
-        EXPECT_LE(std::abs(a.amplitudes()[k] - b.amplitudes()[k]), 1e-10);
+    Rng rng(22);
+    StateVector psi = randomPureState(rng, 6);
+    oracle::Dense want = oracle::column(psi.amplitudes());
+    PulseScheduleSimulator(dev, lib, opt).run(sched, psi);
+    oracle::runSchedule(sched, dev, lib, opt.dt, false, want);
+    EXPECT_LE(maxAbsDiff(psi, want), kTol);
 }
 
 TEST(KernelEquivalence, DecoherentSimulatorGoldenFidelity)
 {
-    // Fig. 23-style golden: a lossy device run through both paths
-    // must land on the same |00..0> fidelity.  Guards the fused
-    // decoherence + unmerged half-step branch end to end.
-    graph::Topology topo = graph::gridTopology(2, 2);
+    // Fig. 23-style: a lossy 6-qubit device with heterogeneous T1/T2
+    // (one qubit coherent, one with T1 only, one with T2 only), so
+    // the Kraus sweep sits between the unmerged half-steps and skips
+    // what it should.
+    graph::Topology topo = graph::gridTopology(2, 3);
     dev::DeviceParams params;
     Rng rng(4);
     dev::Calibration calib = dev::Calibration::sampled(topo, params, rng);
-    for (int q = 0; q < 4; ++q) {
-        calib.t1[size_t(q)] = 5000.0;
-        calib.t2[size_t(q)] = 3000.0;
+    const double inf = std::numeric_limits<double>::infinity();
+    const double t1[6] = {5000.0, 4000.0, inf, 6000.0, inf, 3500.0};
+    const double t2[6] = {3000.0, 5000.0, 2500.0, inf, inf, 4000.0};
+    for (int q = 0; q < 6; ++q) {
+        calib.t1[size_t(q)] = t1[q];
+        calib.t2[size_t(q)] = t2[q];
     }
     const dev::Device dev(topo, calib);
-    const auto sched = fig23StyleSchedule(dev, 4);
+    const auto sched = fig23StyleSchedule(dev, 6);
     const auto lib = pulse::PulseLibrary::gaussian();
+    PulseSimOptions opt;
+    opt.dt = 0.25;
 
-    PulseSimOptions fast;
-    fast.dt = 0.1;
-    PulseSimOptions ref = fast;
-    ref.scalar_reference = true;
-
-    DensityMatrix a =
-        DensityMatrixScheduleSimulator(dev, lib, fast).run(sched);
-    DensityMatrix b =
-        DensityMatrixScheduleSimulator(dev, lib, ref).run(sched);
-    StateVector zero(4);
-    EXPECT_NEAR(a.expectationPure(zero), b.expectationPure(zero), 1e-10);
-    EXPECT_LE(maxAbsDiff(a.matrix(), b.matrix()), 1e-11);
+    DensityMatrix rho = DensityMatrixScheduleSimulator(dev, lib, opt)
+                            .run(sched);
+    oracle::Dense want(rho.dim(), rho.dim());
+    want(0, 0) = 1.0;
+    oracle::runSchedule(sched, dev, lib, opt.dt, true, want);
+    StateVector zero(6);
+    EXPECT_NEAR(rho.expectationPure(zero), want(0, 0).real(), kTol);
+    EXPECT_LE(maxAbsDiff(rho.matrix(), want), kTol);
+    EXPECT_NEAR(rho.trace(), 1.0, 1e-9);
+    // The channels did act: the state is no longer pure.
+    const CMatrix sq = rho.matrix() * rho.matrix();
+    EXPECT_LT(sq.trace().real(), 1.0 - 1e-4);
 }
 
 TEST(KernelEquivalence, PoolSplitKernelsMatchAtEightQubits)
 {
     // n = 8 crosses the parallelFor threshold (dim 256): the fused
-    // kernels split across the shared pool.  Equivalence here plus
-    // the TSan CI leg checks both correctness and data-race freedom
-    // of the block partitioning.
+    // kernels split across the shared pool.  Agreement here plus the
+    // TSan CI leg checks both correctness and data-race freedom of
+    // the block partitioning.
     Rng rng(17);
     const int n = 8;
     const CMatrix u2 = randomUnitary(rng, 2);
     const CMatrix u4 = randomUnitary(rng, 4);
-    DensityMatrix a = randomState(rng, n);
-    DensityMatrix b = a;
+    DensityMatrix rho = randomState(rng, n);
+    oracle::Dense want = rho.matrix();
 
-    a.apply1Q(u2, 3);
-    b.apply1QScalar(u2, 3);
-    a.apply2Q(u4, 1, 6);
-    b.apply2QScalar(u4, 1, 6);
+    rho.apply1Q(la::toMat2(u2), 3);
+    oracle::apply(la::embed(u2, {3}, n), want);
+    rho.apply2Q(la::toMat4(u4), 1, 6);
+    oracle::apply(la::embed(u4, {1, 6}, n), want);
     std::vector<double> gamma(size_t(n), 0.01), keep(size_t(n), 0.995);
-    a.applyDecoherence(gamma, keep);
-    b.applyDecoherenceScalar(gamma, keep);
-    EXPECT_LE(maxAbsDiff(a.matrix(), b.matrix()), 1e-13);
+    rho.applyDecoherence(gamma, keep);
+    oracleDecoherence(gamma, keep, want);
+    EXPECT_LE(maxAbsDiff(rho.matrix(), want), kTol);
 }
 
 /** A physical layer of SX gates on @p sx, identities on @p id and
@@ -413,37 +455,21 @@ splitCaseSchedule(int n)
     return s;
 }
 
-StateVector
-randomPureState(Rng &rng, int n)
-{
-    StateVector psi(n);
-    double norm2 = 0.0;
-    for (cplx &a : psi.amplitudes()) {
-        a = cplx{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-        norm2 += std::norm(a);
-    }
-    for (cplx &a : psi.amplitudes())
-        a /= std::sqrt(norm2);
-    return psi;
-}
-
 TEST(KernelEquivalence, IdleQubitSplitIsThreadCountInvariant)
 {
     // Run from the top level, the split layers fan their
     // sub-registers out across the pool; run from inside a
     // parallelFor() block, the nested fan-out runs inline, one
     // sub-register after another on one thread.  The amplitudes must
-    // agree to the bit, and track the unsplit scalar reference.
+    // agree to the bit, and at n = 9 track the dense oracle.
     const auto lib = pulse::PulseLibrary::gaussian();
     for (auto [rows, cols] : {std::pair{3, 3}, std::pair{3, 4}}) {
         const int n = rows * cols;
         const auto dev = gridDevice(rows, cols);
         const core::Schedule sched = splitCaseSchedule(n);
-        PulseSimOptions fast;
-        fast.dt = 0.5;
-        PulseSimOptions ref = fast;
-        ref.scalar_reference = true;
-        const PulseScheduleSimulator sim(dev, lib, fast);
+        PulseSimOptions opt;
+        opt.dt = 0.5;
+        const PulseScheduleSimulator sim(dev, lib, opt);
 
         Rng rng{uint64_t(n)};
         const StateVector psi0 = randomPureState(rng, n);
@@ -456,31 +482,30 @@ TEST(KernelEquivalence, IdleQubitSplitIsThreadCountInvariant)
             for (size_t i = lo; i < hi; ++i)
                 sim.run(sched, serial[i]);
         });
-        StateVector scalar = psi0;
-        PulseScheduleSimulator(dev, lib, ref).run(sched, scalar);
-
-        double worst = 0.0;
         for (size_t k = 0; k < pooled.dim(); ++k) {
             const cplx a = pooled.amplitudes()[k];
             ASSERT_EQ(a, serial[0].amplitudes()[k]) << "n=" << n << " k=" << k;
             ASSERT_EQ(a, serial[1].amplitudes()[k]) << "n=" << n << " k=" << k;
-            worst = std::max(worst, std::abs(a - scalar.amplitudes()[k]));
         }
-        EXPECT_LE(worst, 1e-10) << "n=" << n;
+        if (n == 9) {
+            oracle::Dense want = oracle::column(psi0.amplitudes());
+            oracle::runSchedule(sched, dev, lib, opt.dt, false, want);
+            EXPECT_LE(maxAbsDiff(pooled, want), kTol);
+        }
         EXPECT_NEAR(pooled.norm(), 1.0, 1e-9) << "n=" << n;
         // The schedule did move the state.
         EXPECT_LT(pooled.fidelity(psi0), 0.99) << "n=" << n;
     }
 }
 
-TEST(KernelEquivalence, IdleQubitSplitMatchesScalarOnCompiledSchedules)
+TEST(KernelEquivalence, IdleQubitSplitMatchesDenseOracleOnCompiledSchedules)
 {
-    // The schedulers' own layers at n = 12, under both policies: a
+    // The schedulers' own layers at n = 9, under both policies: a
     // ParSched layer leaves gate-free qubits idle, a ZZXSched layer
     // puts no pulse on its suppressed side.
-    const auto dev = gridDevice(3, 4, 11);
+    const auto dev = gridDevice(3, 3, 11);
     const auto lib = pulse::PulseLibrary::gaussian();
-    const int n = 12;
+    const int n = 9;
     ckt::QuantumCircuit c(n);
     Rng rng(5);
     for (int rep = 0; rep < 3; ++rep) {
@@ -491,21 +516,18 @@ TEST(KernelEquivalence, IdleQubitSplitMatchesScalarOnCompiledSchedules)
             if (rng.uniform(0.0, 1.0) < 0.2)
                 c.rzx(e.u, e.v, kPi / 2.0);
     }
-    PulseSimOptions fast;
-    fast.dt = 0.5;
-    PulseSimOptions ref = fast;
-    ref.scalar_reference = true;
+    PulseSimOptions opt;
+    opt.dt = 1.0;
+    const StateVector zero(n);
     for (const core::Schedule &sched :
          {core::parSchedule(c, dev, core::GateDurations{}),
           core::zzxSchedule(c, dev, core::GateDurations{})}) {
-        const StateVector a =
-            PulseScheduleSimulator(dev, lib, fast).run(sched);
-        const StateVector b =
-            PulseScheduleSimulator(dev, lib, ref).run(sched);
-        for (size_t k = 0; k < a.dim(); ++k)
-            ASSERT_LE(std::abs(a.amplitudes()[k] - b.amplitudes()[k]),
-                      1e-10)
-                << "k=" << k;
+        const StateVector got =
+            PulseScheduleSimulator(dev, lib, opt).run(sched);
+        oracle::Dense want = oracle::column(zero.amplitudes());
+        oracle::runSchedule(sched, dev, lib, opt.dt, false, want);
+        EXPECT_LE(maxAbsDiff(got, want), kTol);
+        EXPECT_LT(got.fidelity(zero), 0.99);
     }
 }
 

@@ -6,6 +6,7 @@
 #include "common/error.h"
 #include "common/units.h"
 #include "linalg/fidelity.h"
+#include "sim/pulse_sim.h"
 
 namespace qzz::sim {
 namespace {
@@ -85,7 +86,7 @@ TEST(StateVectorTest, DiagonalPhaseMatchesRz)
     const double lambda = 0.01;
     const double t = 12.0;
     auto table = zzEnergyTable(2, {{0, 1}}, {lambda});
-    a.applyDiagonalPhase(table, t);
+    a.applyPhaseVector(phaseVector(table, t));
     b.apply2Q(ckt::gateMatrix(
                   {ckt::GateKind::RZZ, {0, 1}, {2.0 * lambda * t}}),
               0, 1);
