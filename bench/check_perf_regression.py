@@ -8,9 +8,10 @@ speed, so absolute times are only compared within one host and run.
   change's checkout and on the parent's, in alternating pairs on the
   same host, and fail when the change's median of a gated end-to-end
   metric is worse than the parent's by more than that metric's
-  `bound` in BENCHMARK.json.  suite_s is gated; the other end-to-end
-  metrics are printed.  Each checkout builds into its own
-  <checkout>/.bench_build.
+  `bound` in BENCHMARK.json.  Every workload of BENCHMARK.json runs
+  for its run_seconds, PAIRS times on each side.  suite_s is gated;
+  the other end-to-end metrics are printed.  Each checkout builds into
+  its own <checkout>/.bench_build.
 
 * bench_compile_time publishes absolute per-benchmark times.  Those
   are first normalized by the run's geometric mean, which cancels the
@@ -24,7 +25,6 @@ bench/baselines/BENCH_compile_time.json.
 
 Usage:
   check_perf_regression.py perfbench     <change-dir> <parent-dir>
-                           [--pairs N] [--seconds S] [--workloads W...]
   check_perf_regression.py compile_time  <current.json> <baseline.json>
 """
 
@@ -45,6 +45,9 @@ def load(path):
 # End-to-end metrics that fail the perfbench comparison; the rest of
 # BENCHMARK.json's end-to-end list is reported only.
 GATED = ("suite_s",)
+
+# Alternating parent/change run pairs per workload.
+PAIRS = 5
 
 
 def run_perfbench(checkout, workload, seed, seconds):
@@ -69,16 +72,16 @@ def worse_by(metric, change, parent):
     return move if metric["better"] == "lower" else -move
 
 
-def check_perfbench(change_dir, parent_dir, pairs, seconds, workloads):
+def check_perfbench(change_dir, parent_dir):
     spec = load(os.path.join(change_dir, "BENCHMARK.json"))
     metrics = spec["end_to_end"]
-    seconds = seconds or spec["run_seconds"]
-    workloads = workloads or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
     trees = (("parent", parent_dir), ("change", change_dir))
     failures = []
     for workload in workloads:
         runs = {"parent": [], "change": []}
-        for pair in range(pairs):
+        for pair in range(PAIRS):
             # Alternate which side goes first, so a host slowing down
             # or speeding up over the job hits both sides alike.
             for side, checkout in (trees if pair % 2 == 0
@@ -170,21 +173,12 @@ def main():
     ap.add_argument("--tolerance", type=float, default=0.20,
                     help="compile_time: allowed relative regression "
                          "(default 0.20)")
-    ap.add_argument("--pairs", type=int, default=5,
-                    help="perfbench: parent/change run pairs per workload "
-                         "(default 5)")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="perfbench: run time per run (default: "
-                         "BENCHMARK.json run_seconds)")
-    ap.add_argument("--workloads", nargs="+", default=None,
-                    help="perfbench: workloads (default: BENCHMARK.json's)")
     args = ap.parse_args()
 
     print(f"== {args.mode}: {args.current} vs {args.baseline} ==",
           flush=True)
     if args.mode == "perfbench":
-        failures = check_perfbench(args.current, args.baseline, args.pairs,
-                                   args.seconds, args.workloads)
+        failures = check_perfbench(args.current, args.baseline)
     else:
         failures = check_compile_time(load(args.current),
                                       load(args.baseline), args.tolerance)
