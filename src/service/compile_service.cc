@@ -257,8 +257,6 @@ CompileService::CompileService(CompileServiceConfig config)
                                          config_.cold_batch_limit)),
       paused_(config_.start_paused)
 {
-    require(config_.latency_window >= 1,
-            "CompileService: latency_window must be >= 1");
     require(config_.cold_batch_limit >= 1,
             "CompileService: cold_batch_limit must be >= 1");
     tel::MetricsRegistry &reg = *registry_;

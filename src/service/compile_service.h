@@ -195,10 +195,6 @@ struct CompileServiceConfig
     /** Start with workers paused (tests / queue preloading); call
      *  resume() to begin serving. */
     bool start_paused = false;
-    /** Retained for configuration compatibility; latency percentiles
-     *  now derive from the log-bucket latency histogram (the full
-     *  history), not a bounded sample window. */
-    size_t latency_window = 8192;
     /**
      * Collapse concurrent duplicate requests onto one compilation:
      * when a worker misses the cache but an identical fingerprint is

@@ -1,8 +1,9 @@
 // The fused hot-path kernels (apply1Q/apply2Q/applyPhaseVector/
-// applyDecoherence) live in density_matrix_kernels.cc, the only
-// translation unit the build compiles with the vector ISA; this file
-// keeps the constructors, the single-qubit channels and RZ, and the
-// observables at baseline codegen.
+// applyDecoherence/applyDecoherenceAcross) live in
+// density_matrix_kernels.cc, the only translation unit the build
+// compiles with the vector ISA; this file keeps the constructors, the
+// single-qubit channels and RZ, and the observables at baseline
+// codegen.
 
 #include "sim/density_matrix.h"
 
@@ -128,6 +129,7 @@ DensityMatrix::trace() const
 double
 DensityMatrix::probabilityOne(int q) const
 {
+    require(q >= 0 && q < n_, "probabilityOne: qubit out of range");
     const size_t mask = size_t(1) << bitPos(q);
     double p = 0.0;
     for (size_t k = 0; k < dim(); ++k)

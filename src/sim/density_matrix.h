@@ -15,13 +15,23 @@
  * allocation — instead of two full passes over the matrix.  For
  * n >= 8 qubits the row-block loops split across the shared
  * common::parallelFor() pool (block-disjoint writes, so results are
- * independent of thread count).  The kernel-equivalence suite
+ * independent of thread count).
+ *
+ * The schedule simulator (sim/pulse_sim.h) splits registers of 5 or
+ * more qubits on the idle qubits of each layer into blocks that are
+ * themselves DensityMatrix objects: the two-table applyPhaseVector()
+ * and applyDecoherenceAcross() exist for those blocks, and apply the
+ * same per-entry arithmetic as the whole-register kernels, so the
+ * split is bit-identical below the pool threshold (docs/performance.md
+ * has the n >= 8 exception).  The kernel-equivalence suite
  * (tests/sim/kernel_equivalence_test.cc) pins every kernel to a dense
  * 2^n x 2^n oracle within 1e-10.  See docs/performance.md.
  */
 
 #ifndef QZZ_SIM_DENSITY_MATRIX_H
 #define QZZ_SIM_DENSITY_MATRIX_H
+
+#include <span>
 
 #include "linalg/matrix.h"
 #include "sim/state_vector.h"
@@ -59,6 +69,11 @@ class DensityMatrix
      *  (p[i] = exp(-i E[i] dt), precomputed by the caller). */
     void applyPhaseVector(const la::CVector &p);
 
+    /** rho[r,c] *= p_row[r] * conj(p_col[c]): the phase of a block
+     *  whose rows and columns are different slices of one register. */
+    void applyPhaseVector(std::span<const la::cplx> p_row,
+                          std::span<const la::cplx> p_col);
+
     /** Amplitude damping with excited-state decay probability
      *  @p gamma on qubit @p q. */
     void applyAmplitudeDamping(int q, double gamma);
@@ -78,6 +93,24 @@ class DensityMatrix
      */
     void applyDecoherence(const std::vector<double> &gamma,
                           const std::vector<double> &keep);
+
+    /** One qubit's step of the sweep above: damping with decay
+     *  probability @p gamma, then dephasing with retention @p keep,
+     *  on qubit @p q; nothing when gamma is 0 and keep is 1. */
+    void applyDecoherence(int q, double gamma, double keep);
+
+    /**
+     * The same step for a qubit that is not in the register but
+     * indexes two blocks of a larger one: @p lo holds the entries
+     * whose row reads 0 on that qubit, @p hi the entries whose row
+     * reads 1.  With @p same_column the columns read the same value as
+     * the rows, and damping moves @p hi into @p lo; otherwise both
+     * blocks are coherences of the qubit, scaled by damping and
+     * dephasing.  Per entry, the arithmetic of applyDecoherence().
+     */
+    static void applyDecoherenceAcross(DensityMatrix &lo, DensityMatrix &hi,
+                                       bool same_column, double gamma,
+                                       double keep);
 
     /** <psi| rho |psi>. */
     double expectationPure(const StateVector &psi) const;

@@ -4,7 +4,9 @@
  * translation unit so the build can hand just these loops the vector ISA
  * (QZZ_VECTOR_KERNELS): only the per-step sweeps of the Strang
  * integrator gain from it, and the rest of the library keeps baseline
- * codegen.
+ * codegen.  The block kernels of the idle-qubit split (the two-table
+ * phase, applyDecoherenceAcross) live here too: they must round
+ * exactly like the whole-register sweeps, FMA contraction included.
  */
 
 #include <cmath>
@@ -170,17 +172,26 @@ DensityMatrix::apply2Q(const la::Mat4 &u, int q_hi, int q_lo)
 void
 DensityMatrix::applyPhaseVector(const la::CVector &p)
 {
-    require(p.size() == dim(), "applyPhaseVector: table size");
+    applyPhaseVector(p, p);
+}
+
+void
+DensityMatrix::applyPhaseVector(std::span<const cplx> p_row,
+                                std::span<const cplx> p_col)
+{
+    require(p_row.size() == dim() && p_col.size() == dim(),
+            "applyPhaseVector: table size");
     const size_t d = dim();
     cplx *m = rho_.data();
-    const cplx *pv = p.data();
+    const cplx *pr = p_row.data();
+    const cplx *pc = p_col.data();
 
     auto body = [&](size_t rlo, size_t rhi) {
         for (size_t r = rlo; r < rhi; ++r) {
-            const cplx pr = pv[r];
+            const cplx p = pr[r];
             cplx *row = m + r * d;
             for (size_t c = 0; c < d; ++c)
-                row[c] = cmul(row[c], cmul(pr, std::conj(pv[c])));
+                row[c] = cmul(row[c], cmul(p, std::conj(pc[c])));
         }
     };
     if (d >= kParallelDim)
@@ -196,58 +207,104 @@ DensityMatrix::applyDecoherence(const std::vector<double> &gamma,
     require(int(gamma.size()) == n_ && int(keep.size()) == n_,
             "applyDecoherence: per-qubit rate vectors must have one "
             "entry per qubit");
+    for (int q = 0; q < n_; ++q)
+        applyDecoherence(q, gamma[size_t(q)], keep[size_t(q)]);
+}
+
+void
+DensityMatrix::applyDecoherence(int q, double g, double kp)
+{
+    require(q >= 0 && q < n_, "applyDecoherence: qubit out of range");
+    const bool damp = g > 0.0;
+    const bool deph = kp < 1.0;
+    if (!damp && !deph)
+        return;
+    const double sq = std::sqrt(1.0 - g);
+    const double om = 1.0 - g;
+    const size_t stride = size_t(1) << bitPos(q);
     const size_t d = dim();
     cplx *m = rho_.data();
-    for (int q = 0; q < n_; ++q) {
-        const double g = gamma[size_t(q)];
-        const double kp = keep[size_t(q)];
-        const bool damp = g > 0.0;
-        const bool deph = kp < 1.0;
-        if (!damp && !deph)
-            continue;
-        const double sq = std::sqrt(1.0 - g);
-        const double om = 1.0 - g;
-        const size_t stride = size_t(1) << bitPos(q);
 
-        // One sweep fuses the amplitude-damping update
-        // (applyAmplitudeDamping's two passes) with the dephasing scale: each 2x2 block
-        // over (row pair, column pair) in the qubit's bit is
-        // independent, with the same per-element arithmetic as the
-        // sequential channels.
-        auto body = [&](size_t jlo, size_t jhi) {
-            for (size_t j = jlo; j < jhi; ++j) {
-                const size_t r0 = expandBit(j, stride);
-                cplx *row0 = m + r0 * d;
-                cplx *row1 = row0 + stride * d;
-                for (size_t base = 0; base < d; base += 2 * stride) {
-                    for (size_t off = 0; off < stride; ++off) {
-                        const size_t c0 = base + off;
-                        const size_t c1 = c0 + stride;
-                        cplx b00 = row0[c0], b01 = row0[c1];
-                        cplx b10 = row1[c0], b11 = row1[c1];
-                        if (damp) {
-                            b00 += g * b11;
-                            b01 *= sq;
-                            b10 *= sq;
-                            b11 *= om;
-                        }
-                        if (deph) {
-                            b01 *= kp;
-                            b10 *= kp;
-                        }
-                        row0[c0] = b00;
-                        row0[c1] = b01;
-                        row1[c0] = b10;
-                        row1[c1] = b11;
+    // One sweep fuses the amplitude-damping update
+    // (applyAmplitudeDamping's two passes) with the dephasing scale:
+    // each 2x2 block over (row pair, column pair) in the qubit's bit
+    // is independent, with the same per-element arithmetic as the
+    // sequential channels.
+    auto body = [&](size_t jlo, size_t jhi) {
+        for (size_t j = jlo; j < jhi; ++j) {
+            const size_t r0 = expandBit(j, stride);
+            cplx *row0 = m + r0 * d;
+            cplx *row1 = row0 + stride * d;
+            for (size_t base = 0; base < d; base += 2 * stride) {
+                for (size_t off = 0; off < stride; ++off) {
+                    const size_t c0 = base + off;
+                    const size_t c1 = c0 + stride;
+                    cplx b00 = row0[c0], b01 = row0[c1];
+                    cplx b10 = row1[c0], b11 = row1[c1];
+                    if (damp) {
+                        b00 += g * b11;
+                        b01 *= sq;
+                        b10 *= sq;
+                        b11 *= om;
                     }
+                    if (deph) {
+                        b01 *= kp;
+                        b10 *= kp;
+                    }
+                    row0[c0] = b00;
+                    row0[c1] = b01;
+                    row1[c0] = b10;
+                    row1[c1] = b11;
                 }
             }
-        };
-        const size_t pairs = d / 2;
-        if (d >= kParallelDim)
-            common::parallelFor(0, pairs, kRowGrain, body);
-        else
-            body(0, pairs);
+        }
+    };
+    const size_t pairs = d / 2;
+    if (d >= kParallelDim)
+        common::parallelFor(0, pairs, kRowGrain, body);
+    else
+        body(0, pairs);
+}
+
+void
+DensityMatrix::applyDecoherenceAcross(DensityMatrix &lo, DensityMatrix &hi,
+                                      bool same_column, double g, double kp)
+{
+    require(lo.n_ == hi.n_, "applyDecoherenceAcross: block size mismatch");
+    const bool damp = g > 0.0;
+    const bool deph = kp < 1.0;
+    if (!damp && !deph)
+        return;
+    const double sq = std::sqrt(1.0 - g);
+    const double om = 1.0 - g;
+    const size_t size = lo.dim() * lo.dim();
+    cplx *b0 = lo.rho_.data();
+    cplx *b1 = hi.rho_.data();
+
+    // Entry k of the two blocks is the (b00, b11) or (b01, b10) pair of
+    // one 2x2 block of applyDecoherence(), updated the same way.  This
+    // lives here, not with the split, so the update compiles with the
+    // same ISA and the same FMA contraction as the whole-register sweep.
+    if (same_column) {
+        if (damp)
+            for (size_t k = 0; k < size; ++k) {
+                b0[k] += g * b1[k];
+                b1[k] *= om;
+            }
+        return;
+    }
+    for (size_t k = 0; k < size; ++k) {
+        cplx b01 = b0[k], b10 = b1[k];
+        if (damp) {
+            b01 *= sq;
+            b10 *= sq;
+        }
+        if (deph) {
+            b01 *= kp;
+            b10 *= kp;
+        }
+        b0[k] = b01;
+        b1[k] = b10;
     }
 }
 

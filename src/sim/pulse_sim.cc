@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <variant>
 
@@ -70,12 +71,26 @@ layerSteps(const core::Layer &layer, double dt_opt, double &dt)
     return steps;
 }
 
-/** Registers of at least this many qubits split each layer on its
- *  idle qubits.  A 4-6 qubit layer is ~0.1 ms of work, the same order
- *  as one pool dispatch (10-170 us measured on a 4-vCPU host), so
- *  smaller registers run unsplit (docs/performance.md has the
- *  measurement). */
-constexpr int kMinSplitQubits = 9;
+/** Registers that store at least this many entries split each layer
+ *  on its idle qubits: a state vector from 9 qubits (2^n amplitudes),
+ *  a density matrix from 5 (4^n entries).  A smaller layer is about
+ *  as much work as one pool dispatch (10-170 us measured on a 4-vCPU
+ *  host), so it runs unsplit (docs/performance.md has the
+ *  measurements). */
+constexpr size_t kMinSplitEntries = size_t(1) << 9;
+
+size_t
+storedEntries(const StateVector &psi)
+{
+    return psi.dim();
+}
+
+size_t
+storedEntries(const DensityMatrix &rho)
+{
+    return rho.dim() * rho.dim();
+}
+
 /** Split on at most this many idle qubits: 2^2 sub-registers. */
 constexpr int kMaxSplitQubits = 2;
 
@@ -149,8 +164,8 @@ struct StepTimers
     KernelTimer phase, gate, decoh;
 };
 
-/** Kernel-class wall times of one layer (ns).  Only a density matrix
- *  times the decoherence class. */
+/** Kernel-class wall times of one layer (ns).  Only a layer with a
+ *  Kraus channel times the decoherence class. */
 struct LayerTimes
 {
     double phase = 0.0;
@@ -204,11 +219,12 @@ decoherence(const dev::Device &device, double dt)
 
 /**
  * The Strang step loop of one layer on one register: the whole
- * register, or a sub-register with @p energies its slice of the ZZ
- * table.  Phases are diagonal, so without a channel between steps
- * the trailing ZZ half-step of step s and the leading one of step
- * s+1 merge into one full-step sweep: steps+1 phase applications
- * instead of 2*steps.  A Kraus channel runs after every trailing
+ * register, or one part of a split layer (a state-vector
+ * sub-register, a density-matrix XorClass) with @p energies its
+ * slice of the ZZ table.  Phases are diagonal, so without a channel
+ * between steps the trailing ZZ half-step of step s and the leading
+ * one of step s+1 merge into one full-step sweep: steps+1 phase
+ * applications instead of 2*steps.  A Kraus channel runs after every trailing
  * half-step and keeps the halves apart.
  */
 template <class Reg, class Channel>
@@ -253,9 +269,9 @@ runSteps(Reg &reg, const std::vector<double> &energies,
     }
 }
 
-/** Full-register index of amplitude @p l of sub-register @p part:
- *  the split bits (at ascending positions @p pos) are spliced in,
- *  bit i of @p part going to position pos[i]. */
+/** Full-register index of entry @p l of part @p part: the split
+ *  bits (at ascending positions @p pos) are spliced in, bit i of
+ *  @p part going to position pos[i]. */
 size_t
 spliceIndex(size_t l, size_t part, const int *pos, int m)
 {
@@ -267,101 +283,272 @@ spliceIndex(size_t l, size_t part, const int *pos, int m)
     return l;
 }
 
-/** A state vector has no channel.  From kMinSplitQubits on, each
- *  layer splits on its idle qubits into sub-registers that run the
- *  step loop side by side. */
-LayerTimes
-integrate(StateVector &psi, const std::vector<double> &zz,
-          const LayerPlan &plan, const dev::Device &, bool tm)
+/** The idle qubits a layer splits on, and its jobs on the others. */
+struct Split
 {
-    const int n = psi.numQubits();
+    /** Number of split qubits. */
+    int m = 0;
+    /** Their bit positions, ascending: bit i of a part index is the
+     *  register bit at pos[i]. */
+    int pos[kMaxSplitQubits] = {};
+    /** Per qubit: its index among the qubits left, or -1 - i for the
+     *  qubit at pos[i]. */
+    std::vector<int> local;
+    /** The layer's jobs on local qubits. */
+    std::vector<StepJob> jobs;
+};
 
-    // Split on up to two qubits no job touches, lowest index (highest
-    // bit) first.  With those bits fixed the register falls apart into
-    // 2^m sub-registers: the ZZ phase is diagonal and every job acts
-    // inside one sub-register, so each runs the whole layer alone.
+/** Split on up to two qubits no job touches, lowest index (highest
+ *  bit) first; none when @p allowed is false. */
+Split
+splitLayer(const std::vector<StepJob> &jobs, int n, bool allowed)
+{
     uint64_t busy = 0;
-    for (const StepJob &j : plan.jobs)
+    for (const StepJob &j : jobs)
         busy |= (uint64_t(1) << j.q0) |
                 (j.q1 >= 0 ? uint64_t(1) << j.q1 : 0);
-    int split[kMaxSplitQubits] = {};
-    int m = 0;
-    if (n >= kMinSplitQubits)
-        for (int q = 0; q < n && m < kMaxSplitQubits; ++q)
+    Split s;
+    int idle[kMaxSplitQubits] = {};
+    if (allowed)
+        for (int q = 0; q < n && s.m < kMaxSplitQubits; ++q)
             if (!((busy >> q) & 1))
-                split[m++] = q;
+                idle[s.m++] = q;
 
-    const auto localQubit = [&](int q) {
-        return q - int(std::count_if(split, split + m,
-                                     [&](int sq) { return sq < q; }));
-    };
-    std::vector<StepJob> local;
-    local.reserve(plan.jobs.size());
-    for (const StepJob &j : plan.jobs)
-        local.push_back(
-            {j.kind, localQubit(j.q0), j.q1 < 0 ? -1 : localQubit(j.q1)});
+    // idle[] holds descending bit positions; pos[] ascends.
+    s.local.assign(size_t(n), 0);
+    for (int i = 0; i < s.m; ++i) {
+        const int q = idle[s.m - 1 - i];
+        s.pos[i] = n - 1 - q;
+        s.local[size_t(q)] = -1 - i;
+    }
+    for (int q = 0, l = 0; q < n; ++q)
+        if (s.local[size_t(q)] >= 0)
+            s.local[size_t(q)] = l++;
+    s.jobs.reserve(jobs.size());
+    for (const StepJob &j : jobs)
+        s.jobs.push_back({j.kind, s.local[size_t(j.q0)],
+                          j.q1 < 0 ? -1 : s.local[size_t(j.q1)]});
+    return s;
+}
 
-    const size_t parts = size_t(1) << m;
-    double phase_ns[1 << kMaxSplitQubits] = {};
-    double gate_ns[1 << kMaxSplitQubits] = {};
-    const auto run = [&](StateVector &reg,
-                         const std::vector<double> &energies,
-                         size_t part) {
-        StepTimers t(tm);
-        runSteps(reg, energies, plan, local, NoChannel{}, t);
-        phase_ns[part] = t.phase.ns();
-        gate_ns[part] = t.gate.ns();
-    };
-    if (m == 0) {
-        run(psi, zz, 0);
-    } else {
-        // Bit positions of the split qubits, ascending (split[] holds
-        // descending positions), so part bit i sits at pos[i].
-        int pos[kMaxSplitQubits] = {};
-        for (int i = 0; i < m; ++i)
-            pos[i] = n - 1 - split[m - 1 - i];
-        cplx *amps = psi.amplitudes().data();
-        common::parallelFor(0, parts, 1, [&](size_t lo, size_t hi) {
-            for (size_t part = lo; part < hi; ++part) {
-                StateVector sub(n - m);
-                std::vector<double> energies(sub.dim());
-                for (size_t l = 0; l < sub.dim(); ++l) {
-                    const size_t k = spliceIndex(l, part, pos, m);
-                    sub.amplitudes()[l] = amps[k];
-                    energies[l] = zz[k];
-                }
-                run(sub, energies, part);
-                for (size_t l = 0; l < sub.dim(); ++l)
-                    amps[spliceIndex(l, part, pos, m)] =
-                        sub.amplitudes()[l];
+/**
+ * One XOR class of a density matrix split on m idle qubits: the
+ * entries rho[r, c] whose split bits read a in r and a ^ x in c, for
+ * all 2^m values of a.  Each a is one block, an (n - m)-qubit
+ * DensityMatrix.  A layer that leaves the split qubits idle keeps
+ * r ^ c fixed on them in every operation (docs/performance.md), so a
+ * class runs the whole layer alone.  It offers runSteps() the
+ * register interface, applied block by block.
+ */
+class XorClass
+{
+  public:
+    XorClass(const DensityMatrix &rho, const std::vector<double> &zz,
+             const Split &split, size_t x)
+        : split_(split), x_(x)
+    {
+        const size_t d = rho.dim();
+        const size_t parts = size_t(1) << split.m;
+        const int block_qubits = rho.numQubits() - split.m;
+        const size_t dl = size_t(1) << block_qubits;
+        blocks_.reserve(parts);
+        energies_.resize(parts * dl);
+        for (size_t a = 0; a < parts; ++a) {
+            cplx *blk = blocks_.emplace_back(block_qubits).matrix().data();
+            for (size_t lr = 0; lr < dl; ++lr) {
+                const size_t r = splice(lr, a);
+                energies_[a * dl + lr] = zz[r];
+                const cplx *row = rho.matrix().data() + r * d;
+                for (size_t lc = 0; lc < dl; ++lc)
+                    blk[lr * dl + lc] = row[splice(lc, a ^ x)];
             }
-        });
+        }
     }
 
-    // Sub-registers run side by side, so the mean over them is the
-    // layer's wall time in each kernel class.
+    void
+    scatter(DensityMatrix &rho) const
+    {
+        const size_t d = rho.dim();
+        const size_t dl = blocks_[0].dim();
+        for (size_t a = 0; a < blocks_.size(); ++a) {
+            const cplx *blk = blocks_[a].matrix().data();
+            for (size_t lr = 0; lr < dl; ++lr) {
+                cplx *row = rho.matrix().data() + splice(lr, a) * d;
+                for (size_t lc = 0; lc < dl; ++lc)
+                    row[splice(lc, a ^ x_)] = blk[lr * dl + lc];
+            }
+        }
+    }
+
+    /** Block a's row energies at offset a * 2^(n - m), so one phase
+     *  table holds every block's row and column slice. */
+    const std::vector<double> &energies() const { return energies_; }
+
+    void
+    apply1Q(const la::Mat2 &u, int q)
+    {
+        for (DensityMatrix &b : blocks_)
+            b.apply1Q(u, q);
+    }
+
+    void
+    apply2Q(const la::Mat4 &u, int q_hi, int q_lo)
+    {
+        for (DensityMatrix &b : blocks_)
+            b.apply2Q(u, q_hi, q_lo);
+    }
+
+    void
+    applyPhaseVector(const la::CVector &p)
+    {
+        const size_t dl = blocks_[0].dim();
+        const std::span<const cplx> all(p);
+        for (size_t a = 0; a < blocks_.size(); ++a)
+            blocks_[a].applyPhaseVector(all.subspan(a * dl, dl),
+                                        all.subspan((a ^ x_) * dl, dl));
+    }
+
+    /** The Kraus sweep in the whole register's order, qubit by qubit
+     *  ascending: a split qubit pairs the blocks that differ in its
+     *  bit, any other qubit acts inside each block. */
+    void
+    applyDecoherence(const std::vector<double> &gamma,
+                     const std::vector<double> &keep)
+    {
+        for (size_t q = 0; q < split_.local.size(); ++q) {
+            const int l = split_.local[q];
+            if (l >= 0) {
+                for (DensityMatrix &b : blocks_)
+                    b.applyDecoherence(l, gamma[q], keep[q]);
+                continue;
+            }
+            const size_t bit = size_t(1) << (-1 - l);
+            for (size_t a = 0; a < blocks_.size(); ++a)
+                if (!(a & bit))
+                    DensityMatrix::applyDecoherenceAcross(
+                        blocks_[a], blocks_[a | bit], !(x_ & bit), gamma[q],
+                        keep[q]);
+        }
+    }
+
+  private:
+    const Split &split_;
+    size_t x_;
+    std::vector<DensityMatrix> blocks_;
+    std::vector<double> energies_;
+
+    size_t
+    splice(size_t l, size_t a) const
+    {
+        return spliceIndex(l, a, split_.pos, split_.m);
+    }
+};
+
+/** Sub-register @p part of a state vector split on @p split: its
+ *  amplitudes and its slice of the ZZ table are gathered, run through
+ *  @p steps and scattered back. */
+template <class Steps>
+void
+runPart(StateVector &psi, const std::vector<double> &zz, const Split &split,
+        size_t part, const Steps &steps)
+{
+    StateVector sub(psi.numQubits() - split.m);
+    std::vector<double> energies(sub.dim());
+    cplx *amps = psi.amplitudes().data();
+    for (size_t l = 0; l < sub.dim(); ++l) {
+        const size_t k = spliceIndex(l, part, split.pos, split.m);
+        sub.amplitudes()[l] = amps[k];
+        energies[l] = zz[k];
+    }
+    steps(sub, energies, part);
+    for (size_t l = 0; l < sub.dim(); ++l)
+        amps[spliceIndex(l, part, split.pos, split.m)] = sub.amplitudes()[l];
+}
+
+/** XOR class @p part of a density matrix split on @p split, likewise. */
+template <class Steps>
+void
+runPart(DensityMatrix &rho, const std::vector<double> &zz,
+        const Split &split, size_t part, const Steps &steps)
+{
+    XorClass cls(rho, zz, split, part);
+    steps(cls, cls.energies(), part);
+    cls.scatter(rho);
+}
+
+/** A state vector has no channel. */
+template <class F>
+void
+withChannel(const StateVector &, const dev::Device &, double, const F &f)
+{
+    f(NoChannel{});
+}
+
+/** A density matrix takes the Kraus sweep whenever the device has a
+ *  finite T1 or T2. */
+template <class F>
+void
+withChannel(const DensityMatrix &, const dev::Device &device, double dt,
+            const F &f)
+{
+    if (const std::optional<Decoherence> d = decoherence(device, dt))
+        f(*d);
+    else
+        f(NoChannel{});
+}
+
+/**
+ * One layer on either register.  From kMinSplitEntries stored
+ * entries on, the layer splits on its idle qubits into 2^m parts —
+ * sub-registers of a state vector, XOR classes of a density matrix —
+ * that each run the whole step loop in one common::parallelFor()
+ * block, with no barrier.  m = 0 runs the loop in place.
+ */
+template <class Reg>
+LayerTimes
+integrate(Reg &reg, const std::vector<double> &zz, const LayerPlan &plan,
+          const dev::Device &device, bool tm)
+{
+    const Split split = splitLayer(plan.jobs, reg.numQubits(),
+                                   storedEntries(reg) >= kMinSplitEntries);
+    const size_t parts = size_t(1) << split.m;
+    double phase_ns[1 << kMaxSplitQubits] = {};
+    double gate_ns[1 << kMaxSplitQubits] = {};
+    double decoh_ns[1 << kMaxSplitQubits] = {};
+    bool kraus = false;
+    withChannel(reg, device, plan.dt, [&](const auto &channel) {
+        kraus = !std::is_same_v<std::decay_t<decltype(channel)>, NoChannel>;
+        const auto steps = [&](auto &r, const std::vector<double> &energies,
+                               size_t part) {
+            StepTimers t(tm);
+            runSteps(r, energies, plan, split.jobs, channel, t);
+            phase_ns[part] = t.phase.ns();
+            gate_ns[part] = t.gate.ns();
+            decoh_ns[part] = t.decoh.ns();
+        };
+        if (split.m == 0)
+            steps(reg, zz, 0);
+        else
+            common::parallelFor(0, parts, 1, [&](size_t lo, size_t hi) {
+                for (size_t part = lo; part < hi; ++part)
+                    runPart(reg, zz, split, part, steps);
+            });
+    });
+
+    // Parts run side by side, so the mean over them is the layer's
+    // wall time in each kernel class.
     LayerTimes times;
+    double decoh = 0.0;
     for (size_t part = 0; part < parts; ++part) {
         times.phase += phase_ns[part];
         times.gate += gate_ns[part];
+        decoh += decoh_ns[part];
     }
     times.phase /= double(parts);
     times.gate /= double(parts);
+    if (kraus)
+        times.decoh = decoh / double(parts);
     return times;
-}
-
-/** A density matrix runs unsplit, with the Kraus sweep whenever the
- *  device has a finite T1 or T2. */
-LayerTimes
-integrate(DensityMatrix &rho, const std::vector<double> &zz,
-          const LayerPlan &plan, const dev::Device &device, bool tm)
-{
-    StepTimers t(tm);
-    if (const std::optional<Decoherence> d = decoherence(device, plan.dt))
-        runSteps(rho, zz, plan, plan.jobs, *d, t);
-    else
-        runSteps(rho, zz, plan, plan.jobs, NoChannel{}, t);
-    return {t.phase.ns(), t.gate.ns(), t.decoh.ns()};
 }
 
 } // namespace

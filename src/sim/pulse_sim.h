@@ -21,14 +21,22 @@
  * Qubits without pulses simply sit in the ZZ bath — exactly the
  * physics the paper's scheduling fights.
  *
- * On registers of 9 or more qubits the state-vector simulator splits
- * each layer on up to two qubits none of its gates touches: with
- * those bits fixed, the diagonal ZZ phase and every gate act inside
- * one of the 2^m sub-registers, so each sub-register integrates the
- * whole layer on its own across the shared pool, with no barrier
- * between steps.  Every amplitude sees the same kernels, in the same
- * order, with the same phases, so results are bit-identical to the
- * unsplit loop (docs/performance.md, "The idle-qubit split").
+ * Both registers split each layer on up to two qubits none of its
+ * gates touches, from 2^9 stored entries on (a state vector of 9 or
+ * more qubits, a density matrix of 5 or more).  On a state vector,
+ * fixing those bits leaves 2^m sub-registers: the diagonal ZZ phase
+ * and every gate act inside one.  On a density matrix, every
+ * operation of the layer — conjugation by the gates, the ZZ phase,
+ * dephasing and damping, even on the idle qubits — keeps the XOR
+ * r ^ c of an entry rho[r, c] fixed on those bits, so the 2^m XOR
+ * classes fall apart instead.  Each part integrates the whole layer
+ * on its own across the shared pool, with no barrier between steps.
+ * Every entry sees the same kernels, in the same order, with the
+ * same phases, so results are bit-identical to the unsplit loop.
+ * The one exception is a density matrix of 8 or more qubits, whose
+ * unsplit kernels run the pool's separately compiled copy of the 1Q
+ * loop: it matches to rounding (docs/performance.md, "The idle-qubit
+ * split").
  */
 
 #ifndef QZZ_SIM_PULSE_SIM_H

@@ -84,6 +84,7 @@ StateVector::applyRz(int q, double theta)
 double
 StateVector::probabilityOne(int q) const
 {
+    require(q >= 0 && q < n_, "probabilityOne: qubit out of range");
     const size_t mask = size_t(1) << bitPos(q);
     double p = 0.0;
     for (size_t k = 0; k < amps_.size(); ++k)

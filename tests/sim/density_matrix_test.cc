@@ -157,6 +157,8 @@ TEST(DensityMatrixTest, QubitIndicesAreRangeChecked)
         EXPECT_THROW(rho.applyRz(bad, 0.3), UserError) << bad;
         EXPECT_THROW(rho.applyAmplitudeDamping(bad, 0.1), UserError) << bad;
         EXPECT_THROW(rho.applyDephasing(bad, 0.9), UserError) << bad;
+        EXPECT_THROW(rho.applyDecoherence(bad, 0.1, 0.9), UserError) << bad;
+        EXPECT_THROW((void)rho.probabilityOne(bad), UserError) << bad;
     }
     EXPECT_THROW(rho.apply2Q(m4, 1, 1), UserError);
     EXPECT_THROW(rho.apply2Q(u4, 2, 2), UserError);

@@ -8,15 +8,19 @@
  * not move physics.  Every test here pins them to the dense 2^n x 2^n
  * reference of dense_oracle.h on randomized states, within 1e-10,
  * across register sizes that cover both the serial (n < 8) and the
- * pool-split (n >= 8) density-matrix kernels and the state vector's
- * idle-qubit sub-register split (n >= 9).  The split is also pinned
- * bit for bit across thread counts.  Runs under ASan and TSan in CI
- * (label unit-service), so the shared-pool splits are raced
- * deliberately.
+ * pool-split (n >= 8) density-matrix kernels and the idle-qubit split
+ * of both registers (state vector n >= 9, density matrix n >= 5).
+ * The split is also pinned bit for bit across thread counts, and its
+ * density-matrix block kernels bit for bit to the whole-register
+ * ones.  Runs under ASan and TSan in CI (label unit-service), so the
+ * shared-pool splits are raced deliberately.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <span>
 #include <string>
 #include <tuple>
 
@@ -391,6 +395,131 @@ TEST(KernelEquivalence, PoolSplitKernelsMatchAtEightQubits)
     EXPECT_LE(maxAbsDiff(rho.matrix(), want), kTol);
 }
 
+/** Block (a, b) of @p rho split on qubit @p q: the entries whose row
+ *  reads a and whose column reads b on q, as a register of n - 1. */
+DensityMatrix
+block(const DensityMatrix &rho, int q, int a, int b)
+{
+    const int n = rho.numQubits();
+    const size_t mask = size_t(1) << (n - 1 - q);
+    const auto full = [&](size_t l, int bit) {
+        const size_t low = l & (mask - 1);
+        return ((l & ~(mask - 1)) << 1) | (bit ? mask : 0) | low;
+    };
+    DensityMatrix out(n - 1);
+    for (size_t r = 0; r < out.dim(); ++r)
+        for (size_t c = 0; c < out.dim(); ++c)
+            out.matrix()(r, c) = rho.matrix()(full(r, a), full(c, b));
+    return out;
+}
+
+std::span<const cplx>
+entries(const DensityMatrix &rho)
+{
+    return {rho.matrix().data(), rho.dim() * rho.dim()};
+}
+
+bool
+sameBits(const DensityMatrix &a, const DensityMatrix &b)
+{
+    return std::ranges::equal(entries(a), entries(b));
+}
+
+TEST(KernelEquivalence, SplitBlockKernelsMatchWholeRegisterBitForBit)
+{
+    // A density matrix split on a qubit runs every kernel on blocks of
+    // n - 1 qubits: the gates and the other qubits' Kraus steps inside
+    // each block, the split qubit's Kraus step across two blocks, and
+    // the ZZ phase from separate row and column tables.  Each must
+    // give the bits the whole-register kernel gives, for every split
+    // position and every damping/dephasing branch, up to the largest
+    // register below the kernels' own pool split.
+    Rng rng(18);
+    const CMatrix u2 = randomUnitary(rng, 2);
+    const CMatrix u4 = randomUnitary(rng, 4);
+    for (int n : {5, 7}) {
+        std::vector<double> energies(size_t(1) << n);
+        for (double &e : energies)
+            e = rng.uniform(-5.0, 5.0);
+        const la::CVector p = phaseVector(energies, 0.071);
+        const std::span<const cplx> table(p);
+        const size_t half = size_t(1) << (n - 1);
+        for (int q = 0; q < n; ++q) {
+            const int other = (q + 2) % n, other2 = (q + n - 1) % n;
+            const auto local = [&](int k) { return k < q ? k : k - 1; };
+            for (auto [g, kp] :
+                 {std::pair{0.13, 0.91}, std::pair{0.13, 1.0},
+                  std::pair{0.0, 0.91}}) {
+                SCOPED_TRACE("n=" + std::to_string(n) + " q=" +
+                             std::to_string(q) + " gamma=" +
+                             std::to_string(g) + " keep=" +
+                             std::to_string(kp));
+                const DensityMatrix rho0 = randomState(rng, n);
+                DensityMatrix whole = rho0;
+                whole.applyDecoherence(q, g, kp);
+                DensityMatrix b00 = block(rho0, q, 0, 0);
+                DensityMatrix b11 = block(rho0, q, 1, 1);
+                DensityMatrix b01 = block(rho0, q, 0, 1);
+                DensityMatrix b10 = block(rho0, q, 1, 0);
+                DensityMatrix::applyDecoherenceAcross(b00, b11, true, g, kp);
+                DensityMatrix::applyDecoherenceAcross(b01, b10, false, g, kp);
+                EXPECT_TRUE(sameBits(b00, block(whole, q, 0, 0)));
+                EXPECT_TRUE(sameBits(b11, block(whole, q, 1, 1)));
+                EXPECT_TRUE(sameBits(b01, block(whole, q, 0, 1)));
+                EXPECT_TRUE(sameBits(b10, block(whole, q, 1, 0)));
+
+                // The gates and another qubit's Kraus step, one by one.
+                const std::vector<std::pair<std::string,
+                                            std::function<void(
+                                                DensityMatrix &, bool)>>>
+                    ops = {
+                        {"kraus",
+                         [&](DensityMatrix &r, bool blk) {
+                             r.applyDecoherence(blk ? local(other) : other,
+                                                g, kp);
+                         }},
+                        {"1q",
+                         [&](DensityMatrix &r, bool blk) {
+                             r.apply1Q(la::toMat2(u2),
+                                       blk ? local(other) : other);
+                         }},
+                        {"2q",
+                         [&](DensityMatrix &r, bool blk) {
+                             r.apply2Q(la::toMat4(u4),
+                                       blk ? local(other2) : other2,
+                                       blk ? local(other) : other);
+                         }},
+                    };
+                for (const auto &[name, op] : ops) {
+                    whole = rho0;
+                    op(whole, false);
+                    for (int a = 0; a < 2; ++a)
+                        for (int b = 0; b < 2; ++b) {
+                            DensityMatrix blk = block(rho0, q, a, b);
+                            op(blk, true);
+                            EXPECT_TRUE(
+                                sameBits(blk, block(whole, q, a, b)))
+                                << name << " a=" << a << " b=" << b;
+                        }
+                }
+            }
+        }
+        // Qubit 0 is the top bit, so its blocks' rows and columns are
+        // the two contiguous halves of the phase table.
+        const DensityMatrix rho0 = randomState(rng, n);
+        DensityMatrix whole = rho0;
+        whole.applyPhaseVector(p);
+        for (int a = 0; a < 2; ++a)
+            for (int b = 0; b < 2; ++b) {
+                DensityMatrix blk = block(rho0, 0, a, b);
+                blk.applyPhaseVector(table.subspan(size_t(a) * half, half),
+                                     table.subspan(size_t(b) * half, half));
+                EXPECT_TRUE(sameBits(blk, block(whole, 0, a, b)))
+                    << "n=" << n << " phase a=" << a << " b=" << b;
+            }
+    }
+}
+
 /** A physical layer of SX gates on @p sx, identities on @p id and
  *  RZX(pi/2) on the ordered pairs @p rzx, lasting @p duration ns.
  *  The pulses last 20 ns, so in a longer layer they end mid-layer. */
@@ -420,20 +549,20 @@ qubitRange(int lo, int hi)
 }
 
 /**
- * Layers covering every split case of an n >= 9 register (qubit 0 is
- * the top bit): no idle qubit, one idle at the lowest bit, idle top
- * bits, exactly two idle qubits straddled by RZX jobs in both qubit
- * orders, idle qubits at both ends, a lone job, and a virtual layer.
+ * Layers covering every split case of a register of n >= 5 qubits
+ * (qubit 0 is the top bit): no idle qubit, one idle at the lowest
+ * bit, idle top bits, exactly two idle qubits between busy ones and
+ * straddled by RZX jobs in both qubit orders, idle qubits at both
+ * ends, a lone job, and a virtual layer.
  */
 core::Schedule
 splitCaseSchedule(int n)
 {
     core::Schedule s;
     s.num_qubits = n;
-    // 0 idle.
-    s.layers.push_back(
-        physicalLayer(qubitRange(2, n - 2), {}, {{0, 1}, {n - 1, n - 2}},
-                      20.0));
+    // 0 idle; an identity pulse keeps qubit 2 busy.
+    s.layers.push_back(physicalLayer(qubitRange(3, n - 2), {2},
+                                     {{0, 1}, {n - 1, n - 2}}, 20.0));
     // 1 idle: qubit n-1, the lowest bit.
     std::vector<int> sx = qubitRange(3, n - 1);
     sx.push_back(0);
@@ -441,9 +570,15 @@ splitCaseSchedule(int n)
     // Idle {0, 1, n-2, n-1}: the split takes the top bits.
     s.layers.push_back(
         physicalLayer(qubitRange(4, n - 2), {}, {{2, 3}}, 25.0));
-    // Idle {1, 5} only; RZX(0,4) and RZX(6,2) cross the split bits.
-    s.layers.push_back(
-        physicalLayer(qubitRange(7, n), {3}, {{0, 4}, {6, 2}}, 30.0));
+    // Idle {1, 3} only; RZX(0,4) crosses both split bits, RZX(5,2)
+    // crosses bit 3 in the other qubit order.
+    sx = qubitRange(6, n);
+    std::vector<std::array<int, 2>> rzx = {{0, 4}};
+    if (n > 5)
+        rzx.push_back({5, 2});
+    else
+        sx.push_back(2);
+    s.layers.push_back(physicalLayer(sx, {}, rzx, 30.0));
     core::Layer virt;
     virt.is_virtual = true;
     virt.gates.push_back({ckt::Gate(ckt::GateKind::RZ, {0}, {0.7})});
@@ -457,28 +592,75 @@ splitCaseSchedule(int n)
     return s;
 }
 
-/**
- * Runs @p sched from @p psi0 once from the top level, where split
- * layers fan their sub-registers out across the pool, and twice from
- * inside a parallelFor() block, where the nested fan-out runs inline,
- * one sub-register after another on one thread.  Expects the three
- * results to agree to the bit and returns the pooled one.
- */
-StateVector
-runPooledAndNested(const PulseScheduleSimulator &sim,
-                   const core::Schedule &sched, const StateVector &psi0)
+/** A ParSched and a ZZXSched schedule of a random circuit of SX and
+ *  RZX(pi/2) gates on the couplings of @p dev. */
+std::vector<core::Schedule>
+compiledSchedules(const dev::Device &dev)
 {
-    StateVector pooled = psi0;
+    const int n = dev.numQubits();
+    ckt::QuantumCircuit c(n);
+    Rng rng(5);
+    for (int rep = 0; rep < 3; ++rep) {
+        for (int q = 0; q < n; ++q)
+            if (rng.uniform(0.0, 1.0) < 0.5)
+                c.sx(q);
+        for (const graph::Edge &e : dev.graph().edges())
+            if (rng.uniform(0.0, 1.0) < 0.2)
+                c.rzx(e.u, e.v, kPi / 2.0);
+    }
+    return {core::parSchedule(c, dev, core::GateDurations{}),
+            core::zzxSchedule(c, dev, core::GateDurations{})};
+}
+
+/** @p dev with heterogeneous T1/T2 (ns) on its first eight qubits:
+ *  both, T1 only, T2 only and neither all occur, and the qubits the
+ *  split-case layers split on (0, 1, 3, n-1) are lossy in different
+ *  ways or, on 5 qubits, coherent (qubit 4). */
+dev::Device
+lossy(const dev::Device &dev)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double t1[8] = {5000.0, 4000.0, inf, inf, inf, 3500.0, 4500.0, inf};
+    const double t2[8] = {3000.0, inf, 2500.0, 5000.0, inf, 4000.0, 3500.0,
+                          2000.0};
+    dev::Calibration calib = dev.calibration();
+    for (size_t q = 0; q < calib.t1.size() && q < 8; ++q) {
+        calib.t1[q] = t1[q];
+        calib.t2[q] = t2[q];
+    }
+    return dev.withCalibration(calib);
+}
+
+std::span<const cplx>
+entries(const StateVector &psi)
+{
+    return psi.amplitudes();
+}
+
+/**
+ * Runs @p sched from @p reg0 once from the top level, where split
+ * layers fan their parts out across the pool, and twice from inside a
+ * parallelFor() block, where the nested fan-out (and a density
+ * matrix's own kernel pool split) runs inline, one part after another
+ * on one thread.  Expects the three results to agree to the bit and
+ * returns the pooled one.
+ */
+template <class Reg>
+Reg
+runPooledAndNested(const ScheduleSimulator<Reg> &sim,
+                   const core::Schedule &sched, const Reg &reg0)
+{
+    Reg pooled = reg0;
     sim.run(sched, pooled);
     // Two blocks, so the call dispatches to the pool and each block's
     // own run is nested.
-    std::vector<StateVector> nested(2, psi0);
+    std::vector<Reg> nested(2, reg0);
     common::parallelFor(0, 2, 1, [&](size_t lo, size_t hi) {
         for (size_t i = lo; i < hi; ++i)
             sim.run(sched, nested[i]);
     });
-    for (const StateVector &psi : nested)
-        EXPECT_TRUE(psi.amplitudes() == pooled.amplitudes())
+    for (const Reg &r : nested)
+        EXPECT_TRUE(std::ranges::equal(entries(r), entries(pooled)))
             << "nested-inline run differs from the pooled run";
     return pooled;
 }
@@ -523,23 +705,11 @@ TEST(KernelEquivalence, IdleQubitSplitMatchesDenseOracleOnCompiledSchedules)
          {std::tuple{3, 3, 1.0}, std::tuple{3, 4, 0.5}}) {
         const int n = rows * cols;
         const auto dev = gridDevice(rows, cols, 11);
-        ckt::QuantumCircuit c(n);
-        Rng rng(5);
-        for (int rep = 0; rep < 3; ++rep) {
-            for (int q = 0; q < n; ++q)
-                if (rng.uniform(0.0, 1.0) < 0.5)
-                    c.sx(q);
-            for (const graph::Edge &e : dev.graph().edges())
-                if (rng.uniform(0.0, 1.0) < 0.2)
-                    c.rzx(e.u, e.v, kPi / 2.0);
-        }
         PulseSimOptions opt;
         opt.dt = dt;
         const PulseScheduleSimulator sim(dev, lib, opt);
         const StateVector zero(n);
-        for (const core::Schedule &sched :
-             {core::parSchedule(c, dev, core::GateDurations{}),
-              core::zzxSchedule(c, dev, core::GateDurations{})}) {
+        for (const core::Schedule &sched : compiledSchedules(dev)) {
             SCOPED_TRACE("n=" + std::to_string(n));
             const StateVector got = runPooledAndNested(sim, sched, zero);
             if (n == 9) {
@@ -548,6 +718,194 @@ TEST(KernelEquivalence, IdleQubitSplitMatchesDenseOracleOnCompiledSchedules)
                 EXPECT_LE(maxAbsDiff(got, want), kTol);
             }
             EXPECT_LT(got.fidelity(zero), 0.99);
+        }
+    }
+}
+
+/** The topologies of the density-matrix split tests: 5 and 6 qubits,
+ *  where the dense oracle is cheap, and 8, where a layer with no
+ *  idle qubit runs the kernels' own pool split. */
+std::vector<graph::Topology>
+densitySplitTopologies()
+{
+    return {graph::lineTopology(5), graph::gridTopology(2, 3),
+            graph::gridTopology(2, 4)};
+}
+
+TEST(KernelEquivalence, DensityIdleQubitSplitMatchesDenseOracle)
+{
+    // The split-case layers on a density matrix: coherent, where the
+    // ZZ half-steps merge, and with heterogeneous T1/T2, where the
+    // Kraus sweep pairs the blocks of each lossy split qubit in the
+    // whole register's qubit order.  Pooled and nested-inline runs
+    // agree to the bit; at n = 5 and 6 they track the dense oracle.
+    const auto lib = pulse::PulseLibrary::gaussian();
+    for (const graph::Topology &topo : densitySplitTopologies()) {
+        const int n = topo.g.numVertices();
+        Rng dev_rng(7);
+        const dev::Device coherent(topo, dev::DeviceParams{}, dev_rng);
+        const core::Schedule sched = splitCaseSchedule(n);
+        for (const bool decoherent : {false, true}) {
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         (decoherent ? " T1/T2" : " coherent"));
+            const dev::Device dev = decoherent ? lossy(coherent) : coherent;
+            PulseSimOptions opt;
+            opt.dt = n <= 6 ? 0.5 : 1.0;
+            const DensityMatrixScheduleSimulator sim(dev, lib, opt);
+
+            Rng rng{uint64_t(n)};
+            const DensityMatrix rho0 = randomState(rng, n);
+            const DensityMatrix got = runPooledAndNested(sim, sched, rho0);
+            if (n <= 6) {
+                oracle::Dense want = rho0.matrix();
+                oracle::runSchedule(sched, dev, lib, opt.dt, decoherent,
+                                    want);
+                EXPECT_LE(maxAbsDiff(got.matrix(), want), kTol);
+            }
+            EXPECT_NEAR(got.trace(), 1.0, 1e-9);
+            // The schedule did move the state.
+            CMatrix moved = got.matrix();
+            moved -= rho0.matrix();
+            EXPECT_GT(moved.frobeniusNorm(),
+                      0.1 * rho0.matrix().frobeniusNorm());
+        }
+    }
+}
+
+TEST(KernelEquivalence, DensityIdleQubitSplitMatchesDenseOracleOnCompiledSchedules)
+{
+    // ParSched and ZZXSched layers on the fig. 23 register kind, with
+    // heterogeneous T1/T2.  Pooled and nested-inline runs agree to the
+    // bit; at n = 5 and 6 they track the dense oracle.
+    const auto lib = pulse::PulseLibrary::gaussian();
+    for (const graph::Topology &topo : densitySplitTopologies()) {
+        const int n = topo.g.numVertices();
+        Rng dev_rng(11);
+        const dev::Device dev =
+            lossy(dev::Device(topo, dev::DeviceParams{}, dev_rng));
+        PulseSimOptions opt;
+        opt.dt = 1.0;
+        const DensityMatrixScheduleSimulator sim(dev, lib, opt);
+        const DensityMatrix zero(n);
+        for (const core::Schedule &sched : compiledSchedules(dev)) {
+            SCOPED_TRACE("n=" + std::to_string(n));
+            const DensityMatrix got = runPooledAndNested(sim, sched, zero);
+            if (n <= 6) {
+                oracle::Dense want = zero.matrix();
+                oracle::runSchedule(sched, dev, lib, opt.dt, true, want);
+                EXPECT_LE(maxAbsDiff(got.matrix(), want), kTol);
+            }
+            EXPECT_NEAR(got.trace(), 1.0, 1e-9);
+            EXPECT_LT(got.expectationPure(StateVector(n)), 0.99);
+        }
+    }
+}
+
+/**
+ * The step loop of the schedule simulators, replayed on the whole
+ * register through the public kernels in the same order, with the
+ * same propagators, phase tables and Kraus factors: the unsplit
+ * reference the split must match bit for bit.  @p kraus selects the
+ * T1/T2 sweep between unmerged half-steps; without it the half-steps
+ * merge.
+ */
+void
+replayWholeRegister(const core::Schedule &sched, const dev::Device &dev,
+                    const pulse::PulseLibrary &lib, double dt_opt,
+                    bool kraus, DensityMatrix &rho)
+{
+    const int n = dev.numQubits();
+    std::vector<std::array<int, 2>> edges;
+    std::vector<double> lambdas;
+    for (const graph::Edge &e : dev.graph().edges()) {
+        edges.push_back({e.u, e.v});
+        lambdas.push_back(dev.coupling(e.id));
+    }
+    const std::vector<double> zz = zzEnergyTable(n, edges, lambdas);
+    StepPropagatorMemo memo;
+    for (const core::Layer &layer : sched.layers) {
+        if (layer.is_virtual) {
+            for (const core::ScheduledGate &sg : layer.gates)
+                rho.applyRz(sg.gate.qubits[0], sg.gate.params[0]);
+            continue;
+        }
+        const size_t steps = std::max<size_t>(
+            1, size_t(std::ceil(layer.duration / dt_opt)));
+        const double dt = layer.duration / double(steps);
+        const la::CVector half = phaseVector(zz, dt / 2.0);
+        const la::CVector full = phaseVector(zz, dt);
+        std::vector<double> gamma(size_t(n), 0.0), keep(size_t(n), 1.0);
+        for (int q = 0; q < n && kraus; ++q) {
+            const double t1 = dev.t1(q), t2 = dev.t2(q);
+            if (std::isfinite(t1))
+                gamma[size_t(q)] = 1.0 - std::exp(-dt / t1);
+            double rate = 0.0;
+            if (std::isfinite(t2))
+                rate = 1.0 / t2 - (std::isfinite(t1) ? 0.5 / t1 : 0.0);
+            keep[size_t(q)] = std::exp(-dt * std::max(0.0, rate));
+        }
+        if (!kraus)
+            rho.applyPhaseVector(half);
+        for (size_t s = 0; s < steps; ++s) {
+            if (kraus)
+                rho.applyPhaseVector(half);
+            const double t_mid = (double(s) + 0.5) * dt;
+            for (const core::ScheduledGate &sg : layer.gates) {
+                const pulse::PulseGate kind = pulseGateOf(sg.gate);
+                const pulse::PulseProgram &prog = lib.get(kind);
+                if (t_mid >= prog.duration)
+                    continue;
+                const auto &q = sg.gate.qubits;
+                if (sg.gate.isTwoQubit())
+                    rho.apply2Q(memo.get2Q(prog, kind, s, dt), q[0], q[1]);
+                else
+                    rho.apply1Q(memo.get1Q(prog, kind, s, dt), q[0]);
+            }
+            rho.applyPhaseVector(!kraus && s + 1 < steps ? full : half);
+            if (kraus)
+                rho.applyDecoherence(gamma, keep);
+        }
+    }
+}
+
+TEST(KernelEquivalence, DensityIdleQubitSplitIsBitIdenticalToWholeRegister)
+{
+    // The split reorders nothing: every entry sees the kernels of the
+    // whole-register loop in the same order, including the Kraus
+    // steps of split qubits that sit between busy ones, so below 8
+    // qubits the split run and the whole-register replay agree to the
+    // bit.  From 8 qubits the whole register's 1Q kernel runs the
+    // copy of its loop that the pool calls, which the compiler
+    // vectorizes, and so rounds, differently from the inlined copy the
+    // blocks run (docs/performance.md); there the two agree to
+    // rounding.
+    const auto lib = pulse::PulseLibrary::gaussian();
+    for (const graph::Topology &topo : densitySplitTopologies()) {
+        const int n = topo.g.numVertices();
+        Rng dev_rng(7);
+        const dev::Device coherent(topo, dev::DeviceParams{}, dev_rng);
+        std::vector<core::Schedule> scheds = compiledSchedules(coherent);
+        scheds.push_back(splitCaseSchedule(n));
+        for (const bool decoherent : {false, true}) {
+            const dev::Device dev = decoherent ? lossy(coherent) : coherent;
+            PulseSimOptions opt;
+            opt.dt = 1.0;
+            const DensityMatrixScheduleSimulator sim(dev, lib, opt);
+            Rng rng{uint64_t(n)};
+            const DensityMatrix rho0 = randomState(rng, n);
+            for (const core::Schedule &sched : scheds) {
+                SCOPED_TRACE("n=" + std::to_string(n) +
+                             (decoherent ? " T1/T2" : " coherent"));
+                DensityMatrix split = rho0, whole = rho0;
+                sim.run(sched, split);
+                replayWholeRegister(sched, dev, lib, opt.dt, decoherent,
+                                    whole);
+                if (n < 8)
+                    EXPECT_TRUE(sameBits(split, whole));
+                else
+                    EXPECT_LE(maxAbsDiff(split.matrix(), whole.matrix()),
+                              1e-15);
+            }
         }
     }
 }

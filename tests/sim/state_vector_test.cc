@@ -138,6 +138,7 @@ TEST(StateVectorTest, QubitIndicesAreRangeChecked)
         EXPECT_THROW(psi.apply2Q(u4, 0, bad), UserError) << bad;
         EXPECT_THROW(psi.apply2Q(m4, bad, 0), UserError) << bad;
         EXPECT_THROW(psi.apply2Q(m4, 0, bad), UserError) << bad;
+        EXPECT_THROW((void)psi.probabilityOne(bad), UserError) << bad;
     }
     EXPECT_THROW(psi.apply2Q(m4, 1, 1), UserError);
     // Nothing was written: the register is still |000>.
