@@ -51,8 +51,9 @@ main()
             core::ZzxOptions opt;
             opt.nq_max = s.nq;
             opt.nc_max = s.nc;
-            core::Schedule sched = core::zzxSchedule(
-                native, entry->device, core::GateDurations{}, opt);
+            core::Schedule sched =
+                core::schedule(core::SchedPolicy::Zzx, native,
+                               entry->device, core::GateDurations{}, opt);
             table.addRow({std::to_string(s.nq), std::to_string(s.nc),
                           std::to_string(sched.physicalLayerCount()),
                           formatX(sched.executionTime() /

@@ -39,7 +39,7 @@ BM_ZzxCompileQft9(benchmark::State &state)
     for (auto _ : state) {
         auto native = ckt::decomposeToNative(
             ckt::routeCircuit(circuit, device.graph()).circuit);
-        auto sched = core::zzxSchedule(native, device,
+        auto sched = core::schedule(core::SchedPolicy::Zzx, native, device,
                                        core::GateDurations{});
         benchmark::DoNotOptimize(sched.layers.size());
     }
@@ -55,7 +55,7 @@ BM_ZzxCompileGrc12(benchmark::State &state)
     for (auto _ : state) {
         auto native = ckt::decomposeToNative(
             ckt::routeCircuit(circuit, device.graph()).circuit);
-        auto sched = core::zzxSchedule(native, device,
+        auto sched = core::schedule(core::SchedPolicy::Zzx, native, device,
                                        core::GateDurations{});
         benchmark::DoNotOptimize(sched.layers.size());
     }
@@ -122,7 +122,8 @@ BM_CompilerZzxGrc12(benchmark::State &state)
 }
 BENCHMARK(BM_CompilerZzxGrc12)->Unit(benchmark::kMillisecond);
 
-/** Legacy shim path (builds a fresh Compiler per call). */
+/** A fresh Compiler per call: the per-device tables are rebuilt for
+ *  every circuit. */
 void
 BM_ShimCompileGrc12(benchmark::State &state)
 {
@@ -133,7 +134,9 @@ BM_ShimCompileGrc12(benchmark::State &state)
     opt.pulse = core::PulseMethod::Gaussian;
     opt.sched = core::SchedPolicy::Zzx;
     for (auto _ : state) {
-        auto prog = core::compileForDevice(circuit, device, opt);
+        auto prog = core::unwrapOrThrow(
+            core::CompilerBuilder(device).options(opt).build().compile(
+                circuit));
         benchmark::DoNotOptimize(prog.schedule.layers.size());
     }
 }

@@ -29,8 +29,8 @@ main()
                 .circuit);
         core::Schedule par =
             core::parSchedule(native, entry.device, durations);
-        core::Schedule zzx =
-            core::zzxSchedule(native, entry.device, durations);
+        core::Schedule zzx = core::schedule(core::SchedPolicy::Zzx, native,
+                                            entry.device, durations);
         const double rel = zzx.executionTime() / par.executionTime();
         worst = std::max(worst, rel);
         table.addRow({entry.label, formatF(par.executionTime(), 0),
@@ -57,8 +57,8 @@ main()
     for (double alpha : {0.0, 0.25, 0.5, 1.0, 2.0}) {
         core::ZzxOptions opt;
         opt.suppression.alpha = alpha;
-        core::Schedule s =
-            core::zzxSchedule(native, entry.device, durations, opt);
+        core::Schedule s = core::schedule(core::SchedPolicy::Zzx, native,
+                                          entry.device, durations, opt);
         ablation.addRow({formatF(alpha, 2),
                          std::to_string(s.physicalLayerCount()),
                          formatF(s.executionTime(), 0),

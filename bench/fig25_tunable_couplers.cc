@@ -29,8 +29,8 @@ main()
         ckt::QuantumCircuit native = ckt::decomposeToNative(
             ckt::routeCircuit(entry.circuit, entry.device.graph())
                 .circuit);
-        core::Schedule zzx =
-            core::zzxSchedule(native, entry.device, durations);
+        core::Schedule zzx = core::schedule(core::SchedPolicy::Zzx, native,
+                                            entry.device, durations);
         // Without pulse suppression every coupling carries ZZ in every
         // layer; with the co-optimization only NC per layer survive.
         const double baseline = double(entry.device.numCouplings());

@@ -223,39 +223,17 @@ main(int argc, char **argv)
             }
 
             // --- Schedule-level residual per policy -----------------
-            const core::ZzxDeviceTables ztables(device);
-            const core::ExactDeviceTables etables(device);
             const core::GateDurations durations{};
             for (core::SchedPolicy policy : policies) {
+                const core::CutTables tables(device, policy);
                 double sum = 0.0;
                 for (int s = 0; s < circuits_per_cell; ++s) {
                     const ckt::QuantumCircuit c = randomCircuit(
                         topo, circuit_depth,
                         uint64_t(s) * 2654435761u + 97u);
-                    core::Schedule sched;
-                    switch (policy) {
-                    case core::SchedPolicy::Par:
-                        sched = core::parSchedule(c, device, durations);
-                        break;
-                    case core::SchedPolicy::Zzx:
-                        sched = core::zzxSchedule(c, device, durations,
-                                                  {}, ztables);
-                        break;
-                    case core::SchedPolicy::ZzxWeighted:
-                        sched = core::zzxWeightedSchedule(
-                            c, device, durations, {}, ztables);
-                        break;
-                    case core::SchedPolicy::CycleAware:
-                        sched = core::cycleAwareSchedule(
-                            c, device, durations, {}, ztables);
-                        break;
-                    case core::SchedPolicy::Exact:
-                        sched = core::exactSchedule(
-                            c, device, durations, {},
-                            core::ExactLimits{}, etables);
-                        break;
-                    }
-                    sum += core::meanResidualZz(sched, ztables.zz);
+                    const core::Schedule sched = core::schedule(
+                        policy, c, device, durations, {}, &tables);
+                    sum += core::meanResidualZz(sched, tables.zz);
                 }
                 cell.residuals.push_back(
                     {core::schedPolicyName(policy),

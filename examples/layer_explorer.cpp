@@ -51,8 +51,8 @@ main()
     ckt::QuantumCircuit native = ckt::decomposeToNative(
         ckt::routeCircuit(circuit, device.graph()).circuit);
 
-    core::Schedule sched = core::zzxSchedule(
-        native, device, core::GateDurations{});
+    core::Schedule sched = core::schedule(core::SchedPolicy::Zzx, native,
+                                          device, core::GateDurations{});
     std::cout << "Ising-12 on a " << rows << "x" << cols
               << " grid: " << sched.physicalLayerCount()
               << " physical layers, " << sched.executionTime()

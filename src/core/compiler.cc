@@ -24,114 +24,7 @@ millisecondsSince(Clock::time_point start)
         .count();
 }
 
-/** Per-device tables shared by every ZzxScheduler::schedule() call. */
-struct ZzxTablesState final : SchedulerState
-{
-    explicit ZzxTablesState(const dev::Device &dev) : tables(dev) {}
-    ZzxDeviceTables tables;
-};
-
-/** Per-device tables shared by every ExactScheduler::schedule() call. */
-struct ExactTablesState final : SchedulerState
-{
-    explicit ExactTablesState(const dev::Device &dev) : tables(dev) {}
-    ExactDeviceTables tables;
-};
-
 } // namespace
-
-// ---------------------------------------------------------------------------
-// Schedulers
-// ---------------------------------------------------------------------------
-
-Schedule
-ParScheduler::schedule(const ckt::QuantumCircuit &native,
-                       const dev::Device &dev,
-                       const GateDurations &durations,
-                       const SchedulerState *state) const
-{
-    (void)state;
-    return parSchedule(native, dev, durations);
-}
-
-std::shared_ptr<const SchedulerState>
-ZzxScheduler::prepare(const dev::Device &dev) const
-{
-    return std::make_shared<ZzxTablesState>(dev);
-}
-
-Schedule
-ZzxScheduler::schedule(const ckt::QuantumCircuit &native,
-                       const dev::Device &dev,
-                       const GateDurations &durations,
-                       const SchedulerState *state) const
-{
-    if (const auto *tables =
-            dynamic_cast<const ZzxTablesState *>(state))
-        return weighted_ ? zzxWeightedSchedule(native, dev, durations,
-                                               opt_, tables->tables)
-                         : zzxSchedule(native, dev, durations, opt_,
-                                       tables->tables);
-    return weighted_
-               ? zzxWeightedSchedule(native, dev, durations, opt_)
-               : zzxSchedule(native, dev, durations, opt_);
-}
-
-std::shared_ptr<const SchedulerState>
-ExactScheduler::prepare(const dev::Device &dev) const
-{
-    return std::make_shared<ExactTablesState>(dev);
-}
-
-Schedule
-ExactScheduler::schedule(const ckt::QuantumCircuit &native,
-                         const dev::Device &dev,
-                         const GateDurations &durations,
-                         const SchedulerState *state) const
-{
-    if (const auto *tables =
-            dynamic_cast<const ExactTablesState *>(state))
-        return exactSchedule(native, dev, durations, opt_,
-                             ExactLimits{}, tables->tables);
-    return exactSchedule(native, dev, durations, opt_);
-}
-
-std::shared_ptr<const SchedulerState>
-CycleScheduler::prepare(const dev::Device &dev) const
-{
-    return std::make_shared<ZzxTablesState>(dev);
-}
-
-Schedule
-CycleScheduler::schedule(const ckt::QuantumCircuit &native,
-                         const dev::Device &dev,
-                         const GateDurations &durations,
-                         const SchedulerState *state) const
-{
-    if (const auto *tables =
-            dynamic_cast<const ZzxTablesState *>(state))
-        return cycleAwareSchedule(native, dev, durations, opt_,
-                                  tables->tables);
-    return cycleAwareSchedule(native, dev, durations, opt_);
-}
-
-std::shared_ptr<const Scheduler>
-makeScheduler(SchedPolicy policy, const ZzxOptions &zzx)
-{
-    switch (policy) {
-    case SchedPolicy::Par:
-        return std::make_shared<ParScheduler>();
-    case SchedPolicy::Zzx:
-    case SchedPolicy::ZzxWeighted:
-        return std::make_shared<ZzxScheduler>(
-            zzx, policy == SchedPolicy::ZzxWeighted);
-    case SchedPolicy::Exact:
-        return std::make_shared<ExactScheduler>(zzx);
-    case SchedPolicy::CycleAware:
-        return std::make_shared<CycleScheduler>(zzx);
-    }
-    panic("makeScheduler: unknown policy");
-}
 
 // ---------------------------------------------------------------------------
 // Pulse providers
@@ -155,13 +48,11 @@ defaultPulseProvider()
 
 CompileContext::CompileContext(const dev::Device &device,
                                const CompileOptions &opt,
-                               const Scheduler &scheduler,
-                               const SchedulerState *scheduler_state,
+                               const CutTables *cut_tables,
                                PulseProvider &provider,
                                std::vector<ckt::QuantumCircuit> segments)
-    : device(device), options(opt), scheduler(scheduler),
-      scheduler_state(scheduler_state), provider(provider),
-      segments(std::move(segments))
+    : device(device), options(opt), cut_tables(cut_tables),
+      provider(provider), segments(std::move(segments))
 {
 }
 
@@ -247,8 +138,9 @@ SchedulePass::run(CompileContext &ctx) const
     ctx.program.schedule = Schedule{};
     ctx.program.schedule.num_qubits = ctx.device.numQubits();
     for (const ckt::QuantumCircuit &native : ctx.native_segments) {
-        Schedule sched = ctx.scheduler.schedule(
-            native, ctx.device, ctx.durations, ctx.scheduler_state);
+        Schedule sched =
+            schedule(ctx.options.sched, native, ctx.device, ctx.durations,
+                     ctx.options.zzx, ctx.cut_tables);
         for (Layer &layer : sched.layers)
             ctx.program.schedule.layers.push_back(std::move(layer));
     }
@@ -291,14 +183,13 @@ BatchResult::allOk() const
 }
 
 Compiler::Compiler(dev::Device device, CompileOptions options,
-                   std::shared_ptr<const Scheduler> scheduler,
+                   std::shared_ptr<const CutTables> cut_tables,
                    std::shared_ptr<PulseProvider> provider,
                    std::vector<std::shared_ptr<const Pass>> passes)
     : device_(std::move(device)), options_(options),
-      scheduler_(std::move(scheduler)), provider_(std::move(provider)),
+      cut_tables_(std::move(cut_tables)), provider_(std::move(provider)),
       passes_(std::move(passes))
 {
-    scheduler_state_ = scheduler_->prepare(device_);
 }
 
 CompileResult
@@ -321,8 +212,7 @@ Compiler::compileSegments(
         return out;
     }
 
-    CompileContext ctx(device_, options_, *scheduler_,
-                       scheduler_state_.get(), *provider_,
+    CompileContext ctx(device_, options_, cut_tables_.get(), *provider_,
                        std::move(segments));
     ctx.program.pulse_method = options_.pulse;
     ctx.program.sched_policy = options_.sched;
@@ -451,13 +341,6 @@ CompilerBuilder::zzxOptions(const ZzxOptions &opt)
 }
 
 CompilerBuilder &
-CompilerBuilder::scheduler(std::shared_ptr<const Scheduler> s)
-{
-    scheduler_ = std::move(s);
-    return *this;
-}
-
-CompilerBuilder &
 CompilerBuilder::pulseProvider(std::shared_ptr<PulseProvider> p)
 {
     provider_ = std::move(p);
@@ -482,16 +365,17 @@ CompilerBuilder::passes(std::vector<std::shared_ptr<const Pass>> passes)
 Compiler
 CompilerBuilder::build() const
 {
-    std::shared_ptr<const Scheduler> scheduler =
-        scheduler_ ? scheduler_
-                   : makeScheduler(options_.sched, options_.zzx);
+    std::shared_ptr<const CutTables> cut_tables;
+    if (options_.sched != SchedPolicy::Par)
+        cut_tables = std::make_shared<const CutTables>(device_,
+                                                       options_.sched);
     std::shared_ptr<PulseProvider> provider =
         provider_ ? provider_ : defaultPulseProvider();
     std::vector<std::shared_ptr<const Pass>> pipeline =
         replace_pipeline_ ? replaced_passes_ : defaultPassPipeline();
     pipeline.insert(pipeline.end(), extra_passes_.begin(),
                     extra_passes_.end());
-    return Compiler(device_, options_, std::move(scheduler),
+    return Compiler(device_, options_, std::move(cut_tables),
                     std::move(provider), std::move(pipeline));
 }
 

@@ -10,24 +10,25 @@
  *  - CompileContext  the state threaded through the passes (segments,
  *                    layout, native circuit, schedule, diagnostics,
  *                    status channel).
- *  - Scheduler       scheduling-policy interface (ParScheduler,
- *                    ZzxScheduler; open to new policies such as
- *                    cycle-aware variants).
  *  - PulseProvider   pulse-library source with shared ownership
  *                    (process-wide calibration cache, or a fixed
  *                    injected library, e.g. a DD-substituted one).
  *  - Compiler        an immutable pipeline built by CompilerBuilder;
  *                    compile() / compileSegments() / compileBatch().
  *
+ * The scheduling policy is a value, CompileOptions::sched: the
+ * schedule stage calls core::schedule() (core/sched_walk.h), whose one
+ * switch picks ParSched or the frontier walk with the policy's cut
+ * source.  build() builds the policy's CutTables once.
+ *
  * Passes report failures through the context's structured status
- * channel instead of throwing; the legacy compileForDevice() /
- * compileSegmentsForDevice() shims in core/framework.h translate a
- * failed status back into fatal()/panic() for old callers.
+ * channel instead of throwing; unwrapOrThrow() turns a failed result
+ * into fatal()/panic() for callers that want an exception.
  *
  * A Compiler is immutable after build() and safe to share across
  * threads: compileBatch() runs one CompileContext per circuit on a
- * small thread pool while sharing the device routing tables and the
- * pulse library.
+ * small thread pool while sharing the device routing tables, the cut
+ * tables and the pulse library.
  */
 
 #ifndef QZZ_CORE_COMPILER_H
@@ -37,9 +38,8 @@
 #include <string>
 #include <vector>
 
-#include "core/cycle_sched.h"
-#include "core/exact_sched.h"
 #include "core/framework.h"
+#include "core/sched_walk.h"
 
 namespace qzz::core {
 
@@ -106,163 +106,6 @@ struct CompileStatus
 
     bool ok() const { return code == CompileStatusCode::Ok; }
 };
-
-// ---------------------------------------------------------------------------
-// Scheduler interface
-// ---------------------------------------------------------------------------
-
-/**
- * Opaque per-device state prepared once per Compiler and reused by
- * every compile (and every batch worker).  Implementations must be
- * immutable after prepare() so they can be shared across threads.
- */
-class SchedulerState
-{
-  public:
-    virtual ~SchedulerState() = default;
-};
-
-/**
- * A scheduling policy.  Implementations must be stateless with
- * respect to individual compilations: schedule() is const and may be
- * called concurrently from compileBatch() workers.
- */
-class Scheduler
-{
-  public:
-    virtual ~Scheduler() = default;
-
-    /** Display name, e.g. "ParSched" / "ZZXSched". */
-    virtual std::string name() const = 0;
-
-    /**
-     * Precompute per-device tables (all-pairs distances, suppression
-     * solver, ...) shared by every subsequent schedule() call.  May
-     * return nullptr when the policy needs none.
-     */
-    virtual std::shared_ptr<const SchedulerState>
-    prepare(const dev::Device &dev) const
-    {
-        (void)dev;
-        return nullptr;
-    }
-
-    /**
-     * Layer a native circuit.
-     *
-     * @param native    native-gate circuit over the device's qubits.
-     * @param dev       target device.
-     * @param durations per-gate durations from the pulse library.
-     * @param state     the result of prepare() for @p dev (may be
-     *                  nullptr when called outside a Compiler).
-     */
-    virtual Schedule schedule(const ckt::QuantumCircuit &native,
-                              const dev::Device &dev,
-                              const GateDurations &durations,
-                              const SchedulerState *state) const = 0;
-};
-
-/** ASAP maximal-parallelism baseline (wraps parSchedule()). */
-class ParScheduler final : public Scheduler
-{
-  public:
-    std::string name() const override { return "ParSched"; }
-    Schedule schedule(const ckt::QuantumCircuit &native,
-                      const dev::Device &dev,
-                      const GateDurations &durations,
-                      const SchedulerState *state) const override;
-};
-
-/**
- * The paper's ZZ-aware scheduler (wraps zzxSchedule()), optionally in
- * its calibration-weighted variant (SchedPolicy::ZzxWeighted, wraps
- * zzxWeightedSchedule()): the weighted flag swaps the suppression
- * objective to calibrated residual ZZ with the classic order as
- * tie-break, so uniform snapshots schedule bit-identically.
- */
-class ZzxScheduler final : public Scheduler
-{
-  public:
-    explicit ZzxScheduler(ZzxOptions opt = {}, bool weighted = false)
-        : opt_(opt), weighted_(weighted)
-    {
-    }
-
-    std::string name() const override
-    {
-        return weighted_ ? "ZzxWeighted" : "ZZXSched";
-    }
-    /** Builds the shared ZzxDeviceTables (distances + solver + ZZ). */
-    std::shared_ptr<const SchedulerState>
-    prepare(const dev::Device &dev) const override;
-    Schedule schedule(const ckt::QuantumCircuit &native,
-                      const dev::Device &dev,
-                      const GateDurations &durations,
-                      const SchedulerState *state) const override;
-
-    const ZzxOptions &options() const { return opt_; }
-    bool weighted() const { return weighted_; }
-
-  private:
-    ZzxOptions opt_;
-    bool weighted_ = false;
-};
-
-/**
- * Solver-optimal baseline (SchedPolicy::Exact, wraps exactSchedule()):
- * every layer cut comes from the branch-and-bound ExactCutSolver.
- * Exponential worst case — meant for the small devices where the
- * heuristics are benchmarked against it.
- */
-class ExactScheduler final : public Scheduler
-{
-  public:
-    explicit ExactScheduler(ZzxOptions opt = {}) : opt_(opt) {}
-
-    std::string name() const override { return "ExactSched"; }
-    /** Builds the shared ExactDeviceTables (distances + solver + ZZ). */
-    std::shared_ptr<const SchedulerState>
-    prepare(const dev::Device &dev) const override;
-    Schedule schedule(const ckt::QuantumCircuit &native,
-                      const dev::Device &dev,
-                      const GateDurations &durations,
-                      const SchedulerState *state) const override;
-
-    const ZzxOptions &options() const { return opt_; }
-
-  private:
-    ZzxOptions opt_;
-};
-
-/**
- * Cycle-aware policy (SchedPolicy::CycleAware, wraps
- * cycleAwareSchedule()): the calibration-weighted search with per-edge
- * accumulated-ZZ state carried across layer boundaries.
- */
-class CycleScheduler final : public Scheduler
-{
-  public:
-    explicit CycleScheduler(ZzxOptions opt = {}) { opt_.zzx = opt; }
-    explicit CycleScheduler(CycleOptions opt) : opt_(opt) {}
-
-    std::string name() const override { return "CycleAware"; }
-    /** Builds the shared ZzxDeviceTables (distances + solver + ZZ). */
-    std::shared_ptr<const SchedulerState>
-    prepare(const dev::Device &dev) const override;
-    Schedule schedule(const ckt::QuantumCircuit &native,
-                      const dev::Device &dev,
-                      const GateDurations &durations,
-                      const SchedulerState *state) const override;
-
-    const CycleOptions &options() const { return opt_; }
-
-  private:
-    CycleOptions opt_;
-};
-
-/** Scheduler implementing a SchedPolicy enum value. */
-std::shared_ptr<const Scheduler> makeScheduler(SchedPolicy policy,
-                                               const ZzxOptions &zzx = {});
 
 // ---------------------------------------------------------------------------
 // Pulse providers
@@ -343,17 +186,15 @@ class CompileContext
 {
   public:
     CompileContext(const dev::Device &device, const CompileOptions &opt,
-                   const Scheduler &scheduler,
-                   const SchedulerState *scheduler_state,
-                   PulseProvider &provider,
+                   const CutTables *cut_tables, PulseProvider &provider,
                    std::vector<ckt::QuantumCircuit> segments);
 
     /** @name Immutable inputs and services
      *  @{ */
     const dev::Device &device;
     const CompileOptions &options;
-    const Scheduler &scheduler;
-    const SchedulerState *scheduler_state;
+    /** Per-device tables of options.sched (nullptr for ParSched). */
+    const CutTables *cut_tables;
     PulseProvider &provider;
     /** @} */
 
@@ -427,7 +268,8 @@ class LowerPass final : public Pass
     void run(CompileContext &ctx) const override;
 };
 
-/** Layer each native segment with the configured Scheduler. */
+/** Layer each native segment with core::schedule() under
+ *  options.sched. */
 class SchedulePass final : public Pass
 {
   public:
@@ -462,10 +304,10 @@ struct CompileResult
 };
 
 /**
- * Surface a failed CompileResult with the legacy throwing behavior —
- * InvalidInput via fatal() (UserError), Internal via panic()
- * (InternalError) — or return the program on success.  Used by the
- * compileForDevice() shims and the exp:: evaluators.
+ * Surface a failed CompileResult as an exception — InvalidInput via
+ * fatal() (UserError), Internal via panic() (InternalError) — or
+ * return the program on success.  Used by the exp:: evaluators and by
+ * callers that want a compile to throw.
  */
 CompiledProgram unwrapOrThrow(CompileResult result);
 
@@ -494,8 +336,8 @@ struct BatchResult
 /**
  * An immutable compilation pipeline bound to one device and one
  * configuration.  Built by CompilerBuilder; safe to share across
- * threads.  Per-device tables (scheduler state) are precomputed at
- * build time and reused by every compile.
+ * threads.  The scheduling policy's per-device tables (CutTables) are
+ * built once by build() and reused by every compile.
  */
 class Compiler
 {
@@ -514,7 +356,7 @@ class Compiler
 
     /**
      * Compile @p circuits concurrently on a thread pool.  Routing
-     * tables, scheduler state and the pulse library are shared; each
+     * tables, the cut tables and the pulse library are shared; each
      * circuit gets its own CompileContext, and results land in input
      * order.  Output is identical to calling compile() sequentially.
      */
@@ -524,7 +366,6 @@ class Compiler
 
     const dev::Device &device() const { return device_; }
     const CompileOptions &options() const { return options_; }
-    const Scheduler &scheduler() const { return *scheduler_; }
     const std::vector<std::shared_ptr<const Pass>> &passes() const
     {
         return passes_;
@@ -533,14 +374,13 @@ class Compiler
   private:
     friend class CompilerBuilder;
     Compiler(dev::Device device, CompileOptions options,
-             std::shared_ptr<const Scheduler> scheduler,
+             std::shared_ptr<const CutTables> cut_tables,
              std::shared_ptr<PulseProvider> provider,
              std::vector<std::shared_ptr<const Pass>> passes);
 
     dev::Device device_;
     CompileOptions options_;
-    std::shared_ptr<const Scheduler> scheduler_;
-    std::shared_ptr<const SchedulerState> scheduler_state_;
+    std::shared_ptr<const CutTables> cut_tables_;
     std::shared_ptr<PulseProvider> provider_;
     std::vector<std::shared_ptr<const Pass>> passes_;
 };
@@ -556,9 +396,9 @@ class Compiler
  *   core::CompileResult r = c.compile(circuit);
  * @endcode
  *
- * Custom Scheduler / PulseProvider implementations override the
- * enum-selected defaults; addPass() appends extra stages after the
- * default pipeline, passes() replaces it wholesale.
+ * A custom PulseProvider overrides the enum-selected library;
+ * addPass() appends extra stages after the default pipeline,
+ * passes() replaces it wholesale.
  */
 class CompilerBuilder
 {
@@ -574,8 +414,6 @@ class CompilerBuilder
     CompilerBuilder &schedPolicy(SchedPolicy p);
     CompilerBuilder &zzxOptions(const ZzxOptions &opt);
 
-    /** Inject a scheduling policy (overrides schedPolicy()). */
-    CompilerBuilder &scheduler(std::shared_ptr<const Scheduler> s);
     /** Inject a pulse source (overrides pulseMethod() lookup). */
     CompilerBuilder &pulseProvider(std::shared_ptr<PulseProvider> p);
     /** Append a custom stage after the current pipeline. */
@@ -584,13 +422,12 @@ class CompilerBuilder
     CompilerBuilder &
     passes(std::vector<std::shared_ptr<const Pass>> passes);
 
-    /** Assemble the Compiler (precomputes per-device tables). */
+    /** Assemble the Compiler (builds the policy's CutTables). */
     Compiler build() const;
 
   private:
     dev::Device device_;
     CompileOptions options_;
-    std::shared_ptr<const Scheduler> scheduler_;
     std::shared_ptr<PulseProvider> provider_;
     std::vector<std::shared_ptr<const Pass>> extra_passes_;
     std::vector<std::shared_ptr<const Pass>> replaced_passes_;

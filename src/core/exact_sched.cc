@@ -1,11 +1,9 @@
 #include "core/exact_sched.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "common/error.h"
-#include "core/sched_walk.h"
 
 namespace qzz::core {
 
@@ -41,8 +39,7 @@ struct Searcher
              bool weighted_in, const ExactLimits &limits)
         : g(graph), alpha(alpha_in), weighted(weighted_in),
           weight(size_t(graph.numEdges()), 1.0),
-          max_nodes(limits.max_nodes), max_millis(limits.max_millis),
-          start(std::chrono::steady_clock::now()),
+          max_nodes(limits.max_nodes),
           forced(size_t(graph.numVertices()), 0),
           side(size_t(graph.numVertices()), -1),
           parent(size_t(graph.numVertices())),
@@ -57,8 +54,6 @@ struct Searcher
     bool weighted;
     std::vector<double> weight; ///< per-edge cost (1.0 when classic)
     long max_nodes;
-    double max_millis;
-    std::chrono::steady_clock::time_point start;
 
     std::vector<int> order;   ///< vertex assignment order
     std::vector<char> forced; ///< vertex pinned to side 1
@@ -138,22 +133,6 @@ struct Searcher
         cur_maxreg = f.maxreg;
     }
 
-    bool
-    budgetSpent()
-    {
-        if (nodes > max_nodes)
-            return true;
-        if (max_millis > 0.0 && (nodes & 1023) == 0) {
-            const double ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            if (ms > max_millis)
-                return true;
-        }
-        return false;
-    }
-
     void
     dfs(size_t i)
     {
@@ -176,7 +155,7 @@ struct Searcher
             if (forced[v] && s == 0)
                 continue;
             ++nodes;
-            if (budgetSpent()) {
+            if (nodes > max_nodes) {
                 exhausted = true;
                 return;
             }
@@ -256,9 +235,8 @@ ExactCutSolver::solve(const std::vector<int> &q_in,
     }
     const bool weighted = edge_zz != nullptr;
 
-    const bool memoizable = limits.max_millis <= 0.0;
     const MemoKey key{q, opt.alpha, weighted, limits.max_nodes};
-    if (memoizable) {
+    {
         std::lock_guard<std::mutex> lock(memo_mutex_);
         auto it = memo_.find(key);
         if (it != memo_.end())
@@ -328,70 +306,9 @@ ExactCutSolver::solve(const std::vector<int> &q_in,
                              : ExactStatus::Optimal;
     res.nodes = s.nodes;
 
-    if (memoizable) {
-        std::lock_guard<std::mutex> lock(memo_mutex_);
-        memo_.emplace(key, res);
-    }
+    std::lock_guard<std::mutex> lock(memo_mutex_);
+    memo_.emplace(key, res);
     return res;
-}
-
-ExactDeviceTables::ExactDeviceTables(const dev::Device &dev)
-    : solver(dev.graph()), dist(dev.graph().allPairsDistances()),
-      zz(dev.couplings())
-{
-}
-
-namespace {
-
-/** Draws every layer cut from the exact solver. */
-class ExactCutOracle final : public LayerCutOracle
-{
-  public:
-    ExactCutOracle(const ExactCutSolver &solver,
-                   const SuppressionOptions &sopt,
-                   const ExactLimits &limits)
-        : solver_(solver), sopt_(sopt), limits_(limits)
-    {
-    }
-
-    SuppressionResult
-    cutFor(const std::vector<int> &q) override
-    {
-        ExactCutResult r = solver_.solve(q, sopt_, limits_);
-        SuppressionResult res;
-        res.side = std::move(r.side);
-        res.metrics = std::move(r.metrics);
-        res.constraint_ok = true; // Q side 1 is enforced by the search
-        res.used_fallback = r.status == ExactStatus::BudgetExhausted;
-        return res;
-    }
-
-  private:
-    const ExactCutSolver &solver_;
-    SuppressionOptions sopt_;
-    ExactLimits limits_;
-};
-
-} // namespace
-
-Schedule
-exactSchedule(const ckt::QuantumCircuit &native, const dev::Device &dev,
-              const GateDurations &durations, const ZzxOptions &opt,
-              const ExactLimits &limits)
-{
-    return exactSchedule(native, dev, durations, opt, limits,
-                         ExactDeviceTables(dev));
-}
-
-Schedule
-exactSchedule(const ckt::QuantumCircuit &native, const dev::Device &dev,
-              const GateDurations &durations, const ZzxOptions &opt_in,
-              const ExactLimits &limits, const ExactDeviceTables &tables)
-{
-    const ZzxOptions opt = resolveZzxOptions(opt_in, dev);
-    ExactCutOracle oracle(tables.solver, opt.suppression, limits);
-    return scheduleByCuts(native, dev, durations, opt, tables.dist,
-                          oracle);
 }
 
 } // namespace qzz::core

@@ -10,8 +10,8 @@
  * search.  Intractable in general (the search space is 2^(n-1)), it
  * is fast on the small devices where it matters: as the per-layer
  * optimality oracle for the heuristics (tests/properties, the
- * fig_sched_gap bench) and as a paper-grade baseline policy
- * (SchedPolicy::Exact).
+ * fig_sched_gap bench) and as the cut source of the paper-grade
+ * baseline policy SchedPolicy::Exact (core::schedule()).
  *
  * Search mechanics: vertices are assigned in multi-source BFS order
  * from Q (regions form early, so bounds bite early); a rollbackable
@@ -24,11 +24,11 @@
  * to the classic objective and then to the first candidate in DFS
  * order, so repeated runs are bit-identical.
  *
- * The search budget is node-based by default (deterministic); an
- * optional wall-clock bound exists for interactive use.  When the
- * budget runs out the best incumbent found so far is returned —
- * seeded with the trivial cut S = Q, so there is always one — with
- * status BudgetExhausted instead of Optimal.
+ * The search budget is a node count, so every result is
+ * deterministic and memoizable.  When the budget runs out the best
+ * incumbent found so far is returned — seeded with the trivial cut
+ * S = Q, so there is always one — with status BudgetExhausted
+ * instead of Optimal.
  */
 
 #ifndef QZZ_CORE_EXACT_SCHED_H
@@ -38,7 +38,7 @@
 #include <mutex>
 #include <tuple>
 
-#include "core/zzx_sched.h"
+#include "core/suppression.h"
 
 namespace qzz::core {
 
@@ -59,12 +59,6 @@ struct ExactLimits
      *  assignment).  Deterministic: the same instance under the same
      *  cap always returns the same result. */
     long max_nodes = 1000000;
-    /**
-     * Optional wall-clock cap in milliseconds; <= 0 disables it.
-     * A time budget makes BudgetExhausted outcomes machine-dependent,
-     * so results are only memoized when it is off.
-     */
-    double max_millis = 0.0;
 };
 
 /** Outcome of one exact cut search. */
@@ -99,8 +93,8 @@ double cutPrimaryObjective(const SuppressionMetrics &metrics,
 
 /**
  * Reusable exact solver over one topology graph.  solve() is const
- * and thread-safe; optimal results under a pure node budget are
- * memoized per (Q, alpha, weighted) across calls, so schedulers
+ * and thread-safe; results are memoized per (Q, alpha, weighted,
+ * node budget) across calls, so schedulers
  * revisiting the same constrained set (the unconstrained Case-1 cut,
  * repeated TwoQSchedule probes across a batch) pay the search once.
  *
@@ -136,44 +130,6 @@ class ExactCutSolver
     mutable std::mutex memo_mutex_;
     mutable std::map<MemoKey, ExactCutResult> memo_;
 };
-
-/**
- * Per-device tables of the exact policy, mirroring ZzxDeviceTables:
- * the exact solver (with its cross-compile memo), the all-pairs qubit
- * distances and the snapshot's per-edge ZZ rates.  Immutable from the
- * caller's view and thread-safe to share.
- */
-struct ExactDeviceTables
-{
-    explicit ExactDeviceTables(const dev::Device &dev);
-
-    ExactCutSolver solver;
-    std::vector<std::vector<int>> dist;
-    std::vector<double> zz;
-};
-
-/**
- * Schedule a native circuit with the ZZX frontier walk, drawing every
- * layer cut from the exact solver instead of the heuristic search
- * (classic alpha * NQ + NC objective, like zzxSchedule()).  Per-layer
- * cuts are solver-optimal whenever the budget suffices; a layer whose
- * search exhausted the budget silently degrades to its best incumbent
- * (query the solver directly for statuses).  TwoQSchedule grouping
- * and the suppression requirement R behave exactly as in
- * zzxSchedule().
- */
-Schedule exactSchedule(const ckt::QuantumCircuit &native,
-                       const dev::Device &dev,
-                       const GateDurations &durations,
-                       const ZzxOptions &opt = {},
-                       const ExactLimits &limits = {});
-
-/** Same, reusing precomputed per-device tables. */
-Schedule exactSchedule(const ckt::QuantumCircuit &native,
-                       const dev::Device &dev,
-                       const GateDurations &durations,
-                       const ZzxOptions &opt, const ExactLimits &limits,
-                       const ExactDeviceTables &tables);
 
 } // namespace qzz::core
 

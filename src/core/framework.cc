@@ -2,7 +2,6 @@
 
 #include "common/error.h"
 #include "common/strings.h"
-#include "core/compiler.h"
 
 namespace qzz::core {
 
@@ -51,22 +50,6 @@ schedPolicyNames()
         schedPolicyName(SchedPolicy::Exact),
         schedPolicyName(SchedPolicy::CycleAware)};
     return names;
-}
-
-CompiledProgram
-compileForDevice(const ckt::QuantumCircuit &logical,
-                 const dev::Device &dev, const CompileOptions &opt)
-{
-    return compileSegmentsForDevice({logical}, dev, opt);
-}
-
-CompiledProgram
-compileSegmentsForDevice(
-    const std::vector<ckt::QuantumCircuit> &segments,
-    const dev::Device &dev, const CompileOptions &opt)
-{
-    const Compiler compiler = CompilerBuilder(dev).options(opt).build();
-    return unwrapOrThrow(compiler.compileSegments(segments));
 }
 
 pulse::PulseLibrary

@@ -8,13 +8,11 @@
  * Pipeline: route to the topology -> lower to the native gate set ->
  * schedule (ParSched or ZZXSched) -> attach the pulse library.
  *
- * @note compileForDevice() / compileSegmentsForDevice() are thin
- * shims over the stage-based API in core/compiler.h (Compiler /
- * CompilerBuilder), which additionally exposes per-stage diagnostics,
- * injectable schedulers and pulse providers, a structured status
- * channel, and multi-threaded batch compilation.  New code should
- * prefer the Compiler API; these shims are kept for the paper-figure
- * reproductions and produce bit-identical output.
+ * @note This header holds the vocabulary of a compilation — the
+ * policies, the options and the compiled program.  The pipeline runs
+ * in core::Compiler (core/compiler.h); its schedule stage calls
+ * core::schedule() (core/sched_walk.h), the one place a SchedPolicy
+ * picks a schedule.
  */
 
 #ifndef QZZ_CORE_FRAMEWORK_H
@@ -40,19 +38,17 @@ enum class SchedPolicy
     Par, ///< maximal parallelism (baseline)
     Zzx, ///< ZZ-aware co-optimized scheduling
     /** ZZXSched with the suppression objective weighted by the
-     *  device snapshot's calibrated per-edge ZZ rates
-     *  (core::zzxWeightedSchedule()); reproduces Zzx bit-identically
-     *  on uniform snapshots. */
+     *  device snapshot's calibrated per-edge ZZ rates; reproduces Zzx
+     *  bit-identically on uniform snapshots. */
     ZzxWeighted,
     /** Solver-optimal per-layer cuts by branch-and-bound
-     *  (core::exactSchedule()) — the optimality oracle the heuristics
+     *  (core::ExactCutSolver) — the optimality oracle the heuristics
      *  are measured against.  Exponential worst case; intended for
      *  small devices. */
     Exact,
     /** ZzxWeighted with per-edge accumulated-ZZ state carried across
-     *  layer boundaries (core::cycleAwareSchedule()): rotates the
-     *  unavoidable residual across couplings instead of revisiting
-     *  the same ones. */
+     *  layer boundaries: rotates the unavoidable residual across
+     *  couplings instead of revisiting the same ones. */
     CycleAware,
 };
 
@@ -101,38 +97,6 @@ struct CompiledProgram
      *  artifacts by recalibration. */
     uint64_t calib_epoch = 0;
 };
-
-/**
- * Compile @p logical for @p dev under @p opt.
- *
- * Shim over core::Compiler (see core/compiler.h); a failed compile
- * raises UserError / InternalError exactly like the historical
- * implementation.
- *
- * @param logical the benchmark circuit (any gate kinds).
- * @param dev     target device.
- * @param opt     pulse method and scheduling policy.
- */
-CompiledProgram compileForDevice(const ckt::QuantumCircuit &logical,
-                                 const dev::Device &dev,
-                                 const CompileOptions &opt);
-
-/**
- * Compile a barrier-separated circuit (Sec. 8 composition with
- * XtalkSched / ColorDynamic): each segment is routed, lowered and
- * scheduled independently (a hard barrier between segments), with the
- * qubit layout threaded from one segment to the next.  The returned
- * schedule is the concatenation.
- *
- * Shim over core::Compiler::compileSegments().
- *
- * @param segments the sub-circuits produced by an outer crosstalk
- *                 pass; all must use the same logical register size.
- */
-CompiledProgram
-compileSegmentsForDevice(const std::vector<ckt::QuantumCircuit> &segments,
-                         const dev::Device &dev,
-                         const CompileOptions &opt);
 
 /**
  * Dynamical-decoupling substitution (Sec. 8): replace a library's

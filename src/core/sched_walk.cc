@@ -1,6 +1,7 @@
 #include "core/sched_walk.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "circuit/dag.h"
@@ -13,6 +14,175 @@ using ckt::GateKind;
 using ckt::QuantumCircuit;
 
 namespace {
+
+/**
+ * Supplies the cut for each layer the walk builds.  cutFor() may be
+ * called several times per layer (TwoQSchedule probes candidate gate
+ * groups); onLayerCommitted() is called once per appended *physical*
+ * layer, after its metrics and side are final, so stateful policies
+ * can carry information across layer boundaries.
+ */
+class LayerCutOracle
+{
+  public:
+    virtual ~LayerCutOracle() = default;
+
+    /**
+     * A cut with all of @p q inside one partition (empty @p q means
+     * unconstrained).  Implementations must be deterministic and must
+     * guarantee the constraint (via a trivial fallback if needed), as
+     * SuppressionSolver::solve() does.
+     */
+    virtual SuppressionResult cutFor(const std::vector<int> &q) = 0;
+
+    /** Hook run after each physical layer is appended. */
+    virtual void
+    onLayerCommitted(const Layer &layer)
+    {
+        (void)layer;
+    }
+};
+
+/**
+ * Cut source of Zzx and ZzxWeighted: every cut comes from one
+ * alpha-optimal SuppressionSolver run.  The Case-1 cut constrains no
+ * qubits, so it is the same for every 1Q-only frontier: solve it once
+ * per schedule on first need.  Deep circuits alternate 1Q layers with
+ * 2Q layers, and the solve (matching plus greedy path relaxation,
+ * fully deterministic — so reuse is bit-identical) dominated their
+ * compile time.
+ */
+class HeuristicCutOracle final : public LayerCutOracle
+{
+  public:
+    HeuristicCutOracle(const SuppressionSolver &solver,
+                       const SuppressionOptions &sopt)
+        : solver_(solver), sopt_(sopt)
+    {
+    }
+
+    SuppressionResult
+    cutFor(const std::vector<int> &q) override
+    {
+        if (q.empty()) {
+            if (!have_case1_) {
+                case1_ = solver_.solve({}, sopt_);
+                have_case1_ = true;
+            }
+            return case1_;
+        }
+        return solver_.solve(q, sopt_);
+    }
+
+  private:
+    const SuppressionSolver &solver_;
+    SuppressionOptions sopt_;
+    SuppressionResult case1_;
+    bool have_case1_ = false;
+};
+
+/** Cut source of Exact: every cut comes from the exact solver. */
+class ExactCutOracle final : public LayerCutOracle
+{
+  public:
+    ExactCutOracle(const ExactCutSolver &solver,
+                   const SuppressionOptions &sopt)
+        : solver_(solver), sopt_(sopt)
+    {
+    }
+
+    SuppressionResult
+    cutFor(const std::vector<int> &q) override
+    {
+        ExactCutResult r = solver_.solve(q, sopt_);
+        SuppressionResult res;
+        res.side = std::move(r.side);
+        res.metrics = std::move(r.metrics);
+        res.constraint_ok = true; // Q side 1 is enforced by the search
+        res.used_fallback = r.status == ExactStatus::BudgetExhausted;
+        return res;
+    }
+
+  private:
+    const ExactCutSolver &solver_;
+    SuppressionOptions sopt_;
+};
+
+/** Add @p layer's unsuppressed |zz[e]| x duration to @p acc. */
+void
+accumulateLayerZz(const Layer &layer, const std::vector<double> &zz,
+                  std::vector<double> &acc)
+{
+    if (layer.is_virtual)
+        return;
+    require(layer.metrics.unsuppressed_edge.size() == zz.size(),
+            "accumulatedZz: layer/device edge count mismatch");
+    for (size_t e = 0; e < zz.size(); ++e)
+        if (layer.metrics.unsuppressed_edge[e])
+            acc[e] += std::abs(zz[e]) * layer.duration;
+}
+
+/**
+ * Cut source of CycleAware: the weighted search with per-edge
+ * accumulated-ZZ state.  Within a layer the weights are frozen (every
+ * TwoQSchedule probe of that layer sees the same objective); they are
+ * recomputed lazily after each committed physical layer.
+ */
+class CycleCutOracle final : public LayerCutOracle
+{
+  public:
+    CycleCutOracle(const SuppressionSolver &solver,
+                   const SuppressionOptions &sopt,
+                   const std::vector<double> &zz)
+        : solver_(solver), sopt_(sopt), zz_(zz), acc_(zz.size(), 0.0),
+          weights_(zz.size(), 0.0)
+    {
+        sopt_.edge_zz = &weights_;
+    }
+
+    SuppressionResult
+    cutFor(const std::vector<int> &q) override
+    {
+        if (dirty_)
+            refresh();
+        return solver_.solve(q, sopt_);
+    }
+
+    void
+    onLayerCommitted(const Layer &layer) override
+    {
+        accumulateLayerZz(layer, zz_, acc_);
+        dirty_ = true;
+    }
+
+  private:
+    /** Strength of the cross-layer term: an edge holding the largest
+     *  accumulated phase weighs 1 + kHistoryWeight times its rate. */
+    static constexpr double kHistoryWeight = 1.0;
+
+    void
+    refresh()
+    {
+        double max_acc = 0.0;
+        for (double a : acc_)
+            max_acc = std::max(max_acc, a);
+        for (size_t e = 0; e < zz_.size(); ++e) {
+            const double boost =
+                max_acc > 0.0
+                    ? 1.0 + kHistoryWeight * acc_[e] / max_acc
+                    : 1.0;
+            weights_[e] = std::abs(zz_[e]) * boost;
+        }
+        dirty_ = false;
+    }
+
+    const SuppressionSolver &solver_;
+    SuppressionOptions sopt_;
+    const std::vector<double> &zz_;
+    std::vector<double> acc_;
+    std::vector<double> weights_;
+    bool dirty_ = true; ///< weights need (re)computation before use
+};
 
 /** All qubits touched by the given gates (by frontier index list). */
 std::vector<int>
@@ -124,8 +294,10 @@ twoQSchedule(const QuantumCircuit &c, const std::vector<int> &sg2,
     return {std::move(res), std::move(chosen_q)};
 }
 
-} // namespace
-
+/**
+ * The frontier walk over @p native, drawing every cut from @p oracle;
+ * @p opt must be resolved (resolveZzxOptions()).
+ */
 Schedule
 scheduleByCuts(const QuantumCircuit &native, const dev::Device &dev,
                const GateDurations &durations, const ZzxOptions &opt,
@@ -236,6 +408,66 @@ scheduleByCuts(const QuantumCircuit &native, const dev::Device &dev,
         oracle.onLayerCommitted(sched.layers.back());
     }
     return sched;
+}
+
+} // namespace
+
+CutTables::CutTables(const dev::Device &dev, SchedPolicy policy)
+    : dist(dev.graph().allPairsDistances()), zz(dev.couplings())
+{
+    if (policy == SchedPolicy::Exact)
+        exact.emplace(dev.graph());
+    else
+        heuristic.emplace(dev.topology());
+}
+
+Schedule
+schedule(SchedPolicy policy, const QuantumCircuit &native,
+         const dev::Device &dev, const GateDurations &durations,
+         const ZzxOptions &opt_in, const CutTables *tables)
+{
+    if (policy != SchedPolicy::Par && tables == nullptr) {
+        const CutTables own(dev, policy);
+        return schedule(policy, native, dev, durations, opt_in, &own);
+    }
+    const ZzxOptions opt = resolveZzxOptions(opt_in, dev);
+    auto walk = [&](LayerCutOracle &&oracle) {
+        return scheduleByCuts(native, dev, durations, opt, tables->dist,
+                              oracle);
+    };
+    auto heuristic = [&]() -> const SuppressionSolver & {
+        require(tables->heuristic.has_value(),
+                "schedule: tables were built for ExactSched");
+        return *tables->heuristic;
+    };
+    switch (policy) {
+    case SchedPolicy::Par:
+        return parSchedule(native, dev, durations);
+    case SchedPolicy::Zzx:
+        return walk(HeuristicCutOracle(heuristic(), opt.suppression));
+    case SchedPolicy::ZzxWeighted: {
+        SuppressionOptions weighted = opt.suppression;
+        weighted.edge_zz = &tables->zz;
+        return walk(HeuristicCutOracle(heuristic(), weighted));
+    }
+    case SchedPolicy::Exact:
+        require(tables->exact.has_value(),
+                "schedule: ExactSched needs tables built for it");
+        return walk(ExactCutOracle(*tables->exact, opt.suppression));
+    case SchedPolicy::CycleAware:
+        return walk(
+            CycleCutOracle(heuristic(), opt.suppression, tables->zz));
+    }
+    panic("schedule: unknown policy");
+}
+
+std::vector<double>
+accumulatedZz(const Schedule &schedule, const std::vector<double> &zz)
+{
+    std::vector<double> acc(zz.size(), 0.0);
+    for (const Layer &layer : schedule.layers)
+        accumulateLayerZz(layer, zz, acc);
+    return acc;
 }
 
 } // namespace qzz::core

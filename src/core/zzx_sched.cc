@@ -2,12 +2,9 @@
 
 #include <algorithm>
 
-#include "core/sched_walk.h"
-
 namespace qzz::core {
 
 using ckt::Gate;
-using ckt::QuantumCircuit;
 
 ZzxOptions
 resolveZzxOptions(ZzxOptions opt, const dev::Device &dev)
@@ -33,94 +30,6 @@ gateDistance(const Gate &a, const Gate &b,
         for (int qb : b.qubits)
             d += dist[qa][qb];
     return d;
-}
-
-namespace {
-
-/**
- * Cut source of the heuristic policies: every cut comes from one
- * alpha-optimal SuppressionSolver run.  The Case-1 cut constrains no
- * qubits, so it is the same for every 1Q-only frontier: solve it once
- * per schedule on first need.  Deep circuits alternate 1Q layers with
- * 2Q layers, and the solve (matching plus greedy path relaxation,
- * fully deterministic — so reuse is bit-identical) dominated their
- * compile time.
- */
-class HeuristicCutOracle final : public LayerCutOracle
-{
-  public:
-    HeuristicCutOracle(const SuppressionSolver &solver,
-                       const SuppressionOptions &sopt)
-        : solver_(solver), sopt_(sopt)
-    {
-    }
-
-    SuppressionResult
-    cutFor(const std::vector<int> &q) override
-    {
-        if (q.empty()) {
-            if (!have_case1_) {
-                case1_ = solver_.solve({}, sopt_);
-                have_case1_ = true;
-            }
-            return case1_;
-        }
-        return solver_.solve(q, sopt_);
-    }
-
-  private:
-    const SuppressionSolver &solver_;
-    SuppressionOptions sopt_;
-    SuppressionResult case1_;
-    bool have_case1_ = false;
-};
-
-} // namespace
-
-ZzxDeviceTables::ZzxDeviceTables(const dev::Device &dev)
-    : solver(dev.topology()), dist(dev.graph().allPairsDistances()),
-      zz(dev.couplings())
-{
-}
-
-Schedule
-zzxSchedule(const QuantumCircuit &native, const dev::Device &dev,
-            const GateDurations &durations, const ZzxOptions &opt)
-{
-    return zzxSchedule(native, dev, durations, opt,
-                       ZzxDeviceTables(dev));
-}
-
-Schedule
-zzxWeightedSchedule(const QuantumCircuit &native, const dev::Device &dev,
-                    const GateDurations &durations, const ZzxOptions &opt)
-{
-    return zzxWeightedSchedule(native, dev, durations, opt,
-                               ZzxDeviceTables(dev));
-}
-
-Schedule
-zzxWeightedSchedule(const QuantumCircuit &native, const dev::Device &dev,
-                    const GateDurations &durations,
-                    const ZzxOptions &opt, const ZzxDeviceTables &tables)
-{
-    // The weighted policy is the classic search with the calibrated
-    // per-edge rates injected into the suppression objective; the
-    // tables outlive the call, so the solver can borrow them.
-    ZzxOptions weighted = opt;
-    weighted.suppression.edge_zz = &tables.zz;
-    return zzxSchedule(native, dev, durations, weighted, tables);
-}
-
-Schedule
-zzxSchedule(const QuantumCircuit &native, const dev::Device &dev,
-            const GateDurations &durations, const ZzxOptions &opt_in,
-            const ZzxDeviceTables &tables)
-{
-    const ZzxOptions opt = resolveZzxOptions(opt_in, dev);
-    HeuristicCutOracle oracle(tables.solver, opt.suppression);
-    return scheduleByCuts(native, dev, durations, opt, tables.dist,
-                          oracle);
 }
 
 } // namespace qzz::core

@@ -17,6 +17,10 @@
  * Identity supplementation covers S minus the qubits of the gates that
  * are actually placed in the layer, so the driven set equals S exactly
  * and the realized regions match the optimized cut.
+ *
+ * This header holds the algorithm's options and its gate distance;
+ * the walk itself, shared by every ZZ-aware policy, runs behind
+ * core::schedule() (core/sched_walk.h).
  */
 
 #ifndef QZZ_CORE_ZZX_SCHED_H
@@ -45,74 +49,6 @@ struct ZzxOptions
 
 /** Resolve the defaults of R against a device. */
 ZzxOptions resolveZzxOptions(ZzxOptions opt, const dev::Device &dev);
-
-/**
- * Per-device tables ZZXSched needs on every call: the all-pairs
- * qubit distances and the alpha-optimal suppression solver (planar
- * embedding + dual graph).  Building them costs more than a single
- * scheduling query, so callers compiling many circuits against one
- * device (core::Compiler, compileBatch()) construct the tables once
- * and share them — they are immutable and thread-safe to share.
- */
-struct ZzxDeviceTables
-{
-    explicit ZzxDeviceTables(const dev::Device &dev);
-
-    SuppressionSolver solver;
-    std::vector<std::vector<int>> dist;
-    /** Per-edge calibrated ZZ rates from the device snapshot (edge-id
-     *  aligned) — lets policies and diagnostics weigh cuts by their
-     *  actual residual crosstalk (residualZzRate()) instead of the
-     *  uniform NC count. */
-    std::vector<double> zz;
-};
-
-/**
- * Schedule a native circuit with ZZ-aware layering.
- *
- * @param native    native-gate circuit over the device's qubits.
- * @param dev       target device.
- * @param durations per-gate durations.
- * @param opt       scheduling options.
- */
-Schedule zzxSchedule(const ckt::QuantumCircuit &native,
-                     const dev::Device &dev,
-                     const GateDurations &durations,
-                     const ZzxOptions &opt = {});
-
-/** Same, reusing precomputed per-device tables. */
-Schedule zzxSchedule(const ckt::QuantumCircuit &native,
-                     const dev::Device &dev,
-                     const GateDurations &durations,
-                     const ZzxOptions &opt,
-                     const ZzxDeviceTables &tables);
-
-/**
- * Calibration-weighted ZZXSched (SchedPolicy::ZzxWeighted): the same
- * frontier walk and TwoQSchedule seeding/growth as zzxSchedule(), but
- * the inner suppression search scores candidate cuts by calibrated
- * residual ZZ — the per-edge rates of the device snapshot
- * (ZzxDeviceTables::zz, see core::residualZzRate()) — instead of the
- * uniform NC count, with the classic alpha * NQ + NC objective as a
- * deterministic tie-break.  On a uniform snapshot (all couplers
- * equal) every decision ties back to the classic order, so the
- * produced schedule is bit-identical to zzxSchedule(); on a
- * heterogeneous snapshot the cut search steers unsuppressed crosstalk
- * onto the weakest couplers.  The suppression requirement R is
- * enforced exactly as in zzxSchedule().
- */
-Schedule zzxWeightedSchedule(const ckt::QuantumCircuit &native,
-                             const dev::Device &dev,
-                             const GateDurations &durations,
-                             const ZzxOptions &opt = {});
-
-/** Same, reusing precomputed per-device tables (the per-edge ZZ rates
- *  are taken from @p tables). */
-Schedule zzxWeightedSchedule(const ckt::QuantumCircuit &native,
-                             const dev::Device &dev,
-                             const GateDurations &durations,
-                             const ZzxOptions &opt,
-                             const ZzxDeviceTables &tables);
 
 /**
  * Distance between two-qubit gates (Definition 6.1): the sum of the

@@ -6,10 +6,9 @@
  * for faster builds; this header is a convenience for examples and
  * downstream applications.
  *
- * @section migration Migration note (stage-based compiler API)
+ * @section compile Compiling a circuit
  *
- * Compilation is now built around an explicit pass pipeline
- * (core/compiler.h).  The canonical entry point is:
+ * Compilation runs an explicit pass pipeline (core/compiler.h):
  *
  * @code
  *   core::Compiler compiler = core::CompilerBuilder(device)
@@ -20,20 +19,17 @@
  *   core::BatchResult batch = compiler.compileBatch(circuits);
  * @endcode
  *
- * Differences from the legacy free functions:
- *  - errors arrive on result.status (a structured channel) instead of
- *    thrown UserError/InternalError;
+ *  - errors arrive on result.status (a structured channel);
+ *    core::unwrapOrThrow(result) turns a failure into
+ *    UserError/InternalError for callers that want an exception;
  *  - result.diagnostics carries per-stage wall times and NC/NQ stats;
- *  - schedulers (core::Scheduler) and pulse sources
- *    (core::PulseProvider) are injectable, and CompiledProgram owns
- *    its pulse library via shared_ptr rather than borrowing a
- *    process-global pointer;
+ *  - the scheduling policy is a value (core::SchedPolicy): the schedule
+ *    stage calls core::schedule() (core/sched_walk.h), the one switch
+ *    over policies, which also schedules a native circuit directly;
+ *  - pulse sources (core::PulseProvider) are injectable, and
+ *    CompiledProgram owns its pulse library via shared_ptr;
  *  - compileBatch() compiles many circuits across a thread pool while
- *    sharing routing tables and pulse libraries.
- *
- * core::compileForDevice() / core::compileSegmentsForDevice() remain
- * as thin shims with bit-identical output and the historical throwing
- * behavior.
+ *    sharing routing tables, cut tables and pulse libraries.
  */
 
 #ifndef QZZ_QZZ_H
@@ -74,7 +70,6 @@
 
 #include "core/compiler.h"
 #include "core/cut.h"
-#include "core/cycle_sched.h"
 #include "core/dcg.h"
 #include "core/exact_sched.h"
 #include "core/framework.h"

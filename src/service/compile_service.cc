@@ -663,7 +663,7 @@ CompileService::compilerFor(const TaskPtr &task)
         if (it != compilers_.end())
             return it->second;
     }
-    // Build outside the lock: ZzxDeviceTables (planar embedding,
+    // Build outside the lock: the CutTables (planar embedding,
     // all-pairs distances) are expensive, and holding the registry
     // mutex through a build would serialize workers on unrelated
     // devices.  Two workers racing on the same cold key build twice;

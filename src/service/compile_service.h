@@ -12,7 +12,7 @@
  *                      |                  |
  *                      +---- compiler registry: one immutable
  *                            core::Compiler per (device, options)
- *                            fingerprint, sharing ZzxDeviceTables and
+ *                            fingerprint, sharing its CutTables and
  *                            the pulse library across all requests
  *
  * Requests carry a priority (higher served first), an optional

@@ -2,8 +2,8 @@
  * @file
  * Tests for the stage-based compilation API (core/compiler.h): the
  * builder, the default pass pipeline, the structured status channel,
- * per-stage diagnostics, injectable schedulers / pulse providers, and
- * the bit-identity of the legacy compileForDevice() shims.
+ * per-stage diagnostics, injectable pulse providers and passes, and
+ * the schedule stage's agreement with core::schedule().
  */
 
 #include "core/compiler.h"
@@ -156,57 +156,28 @@ TEST(CompilerTest, StatusChannelReportsSegmentSizeMismatch)
     EXPECT_EQ(result.status.pass, "route");
 }
 
-TEST(CompilerTest, ShimProducesBitIdenticalSchedules)
+TEST(CompilerTest, SchedulePassMatchesCoreSchedule)
 {
-    // Acceptance: compileForDevice must stay a faithful shim over the
-    // Compiler path.
+    // The schedule stage is core::schedule() under options.sched,
+    // with the CutTables build() made once: every policy's compiled
+    // schedule equals a direct call on the compiled native circuit.
     auto dev = device23();
     ckt::QuantumCircuit c = testCircuit(9);
-    for (SchedPolicy policy : {SchedPolicy::Par, SchedPolicy::Zzx}) {
+    for (SchedPolicy policy :
+         {SchedPolicy::Par, SchedPolicy::Zzx, SchedPolicy::ZzxWeighted,
+          SchedPolicy::Exact, SchedPolicy::CycleAware}) {
         CompileOptions opt;
         opt.pulse = PulseMethod::Gaussian;
         opt.sched = policy;
-
-        CompiledProgram via_shim = compileForDevice(c, dev, opt);
-        Compiler compiler = CompilerBuilder(dev).options(opt).build();
-        CompileResult via_api = compiler.compile(c);
-        ASSERT_TRUE(via_api.ok());
-
-        EXPECT_EQ(
-            scheduleFingerprint(via_shim.schedule, *via_shim.library),
-            scheduleFingerprint(via_api.program.schedule,
-                                *via_api.program.library));
-        ASSERT_EQ(via_shim.native.size(), via_api.program.native.size());
-        for (size_t i = 0; i < via_shim.native.size(); ++i) {
-            EXPECT_EQ(via_shim.native.gates()[i].kind,
-                      via_api.program.native.gates()[i].kind);
-            EXPECT_EQ(via_shim.native.gates()[i].qubits,
-                      via_api.program.native.gates()[i].qubits);
-        }
-        EXPECT_EQ(via_shim.final_layout, via_api.program.final_layout);
+        const CompiledProgram program = unwrapOrThrow(
+            CompilerBuilder(dev).options(opt).build().compile(c));
+        const Schedule direct = schedule(
+            policy, program.native, dev,
+            GateDurations::fromLibrary(*program.library));
+        EXPECT_EQ(scheduleFingerprint(program.schedule, *program.library),
+                  scheduleFingerprint(direct, *program.library))
+            << schedPolicyName(policy);
     }
-}
-
-TEST(CompilerTest, SegmentShimMatchesCompilerSegments)
-{
-    auto dev = device23();
-    std::vector<ckt::QuantumCircuit> segments(2,
-                                              ckt::QuantumCircuit(6));
-    segments[0].cx(0, 5);
-    segments[1].cx(0, 5);
-    CompileOptions opt;
-    opt.pulse = PulseMethod::Gaussian;
-    opt.sched = SchedPolicy::Zzx;
-
-    CompiledProgram via_shim =
-        compileSegmentsForDevice(segments, dev, opt);
-    Compiler compiler = CompilerBuilder(dev).options(opt).build();
-    CompileResult via_api = compiler.compileSegments(segments);
-    ASSERT_TRUE(via_api.ok());
-    EXPECT_EQ(scheduleFingerprint(via_shim.schedule, *via_shim.library),
-              scheduleFingerprint(via_api.program.schedule,
-                                  *via_api.program.library));
-    EXPECT_EQ(via_shim.final_layout, via_api.program.final_layout);
 }
 
 TEST(CompilerTest, FixedPulseProviderInjectsLibrary)
@@ -232,45 +203,6 @@ TEST(CompilerTest, FixedPulseProviderInjectsLibrary)
     // lasts as long as its longest pulse.
     ASSERT_EQ(result.program.schedule.physicalLayerCount(), 1);
     EXPECT_DOUBLE_EQ(result.program.schedule.executionTime(), 40.0);
-}
-
-TEST(CompilerTest, CustomSchedulerIsUsed)
-{
-    /** A policy that simply delegates to ParSched but proves the
-     *  injection seam works. */
-    class CountingScheduler final : public Scheduler
-    {
-      public:
-        explicit CountingScheduler(std::atomic<int> &calls)
-            : calls_(calls)
-        {
-        }
-        std::string name() const override { return "Counting"; }
-        Schedule
-        schedule(const ckt::QuantumCircuit &native,
-                 const dev::Device &dev, const GateDurations &durations,
-                 const SchedulerState *state) const override
-        {
-            (void)state;
-            calls_.fetch_add(1);
-            return parSchedule(native, dev, durations);
-        }
-
-      private:
-        std::atomic<int> &calls_;
-    };
-
-    auto dev = device23();
-    std::atomic<int> calls{0};
-    Compiler compiler =
-        CompilerBuilder(dev)
-            .pulseMethod(PulseMethod::Gaussian)
-            .scheduler(std::make_shared<CountingScheduler>(calls))
-            .build();
-    EXPECT_EQ(compiler.scheduler().name(), "Counting");
-    CompileResult result = compiler.compile(testCircuit());
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(calls.load(), 1);
 }
 
 TEST(CompilerTest, CustomPassAppendsToPipeline)

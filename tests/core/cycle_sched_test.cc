@@ -1,4 +1,4 @@
-#include "core/cycle_sched.h"
+#include "core/sched_walk.h"
 
 #include <gtest/gtest.h>
 
@@ -32,38 +32,42 @@ sxRounds(int n, int rounds)
     return c;
 }
 
-TEST(CycleSchedTest, ZeroHistoryWeightMatchesZzxWeighted)
+TEST(CycleSchedTest, MatchesZzxWeightedWhenNothingAccumulates)
 {
-    // With history_weight = 0 the boost factor is identically 1 and
-    // the per-layer weights are |zz| — the policy must reproduce the
-    // weighted heuristic bit-identically, accumulated state or not.
-    const graph::Topology topo = graph::triangulatedGridTopology(2, 3);
+    // Every 1Q-only layer on a bipartite device is fully suppressed,
+    // so no edge accumulates phase and the cycle-aware weights stay
+    // |zz|: the policy must reproduce the weighted heuristic bit for
+    // bit, on a heterogeneous snapshot where the weights matter.
+    const graph::Topology topo = graph::gridTopology(2, 3);
     std::vector<double> zz(size_t(topo.g.numEdges()), khz(200.0));
     zz[3] = khz(10000.0);
+    zz[5] = khz(50.0);
     const dev::Device dev(topo, dev::DeviceParams{}, zz);
+    ckt::QuantumCircuit c = sxRounds(6, 3);
+    c.rz(2, 0.5);
+    c.sx(2);
 
-    ckt::QuantumCircuit c(6);
-    for (int q = 0; q < 6; ++q)
-        c.sx(q);
-    c.rzx(0, 1, kPi / 2.0);
-    c.rzx(4, 5, kPi / 2.0);
-    for (int q = 0; q < 6; ++q)
-        c.sx(q);
-
-    const ZzxDeviceTables tables(dev);
-    CycleOptions opt;
-    opt.history_weight = 0.0;
-    const Schedule cycle =
-        cycleAwareSchedule(c, dev, GateDurations{}, opt, tables);
-    const Schedule weighted =
-        zzxWeightedSchedule(c, dev, GateDurations{}, {}, tables);
+    const CutTables tables(dev, SchedPolicy::CycleAware);
+    const Schedule cycle = schedule(SchedPolicy::CycleAware, c, dev,
+                                    GateDurations{}, {}, &tables);
+    const Schedule weighted = schedule(SchedPolicy::ZzxWeighted, c, dev,
+                                       GateDurations{}, {}, &tables);
+    for (double a : accumulatedZz(cycle, tables.zz))
+        EXPECT_EQ(a, 0.0);
     ASSERT_EQ(cycle.layers.size(), weighted.layers.size());
     for (size_t i = 0; i < cycle.layers.size(); ++i) {
-        EXPECT_EQ(cycle.layers[i].side, weighted.layers[i].side)
+        const Layer &a = cycle.layers[i];
+        const Layer &b = weighted.layers[i];
+        EXPECT_EQ(a.is_virtual, b.is_virtual) << "layer " << i;
+        EXPECT_EQ(a.side, b.side) << "layer " << i;
+        EXPECT_EQ(a.duration, b.duration) << "layer " << i;
+        EXPECT_EQ(a.metrics.unsuppressed_edge, b.metrics.unsuppressed_edge)
             << "layer " << i;
-        EXPECT_EQ(cycle.layers[i].gates.size(),
-                  weighted.layers[i].gates.size())
-            << "layer " << i;
+        ASSERT_EQ(a.gates.size(), b.gates.size()) << "layer " << i;
+        for (size_t g = 0; g < a.gates.size(); ++g) {
+            EXPECT_EQ(a.gates[g].gate.kind, b.gates[g].gate.kind);
+            EXPECT_EQ(a.gates[g].gate.qubits, b.gates[g].gate.qubits);
+        }
     }
 }
 
@@ -76,12 +80,12 @@ TEST(CycleSchedTest, RotatesResidualAcrossOddRing)
     // per-edge accumulated phase is strictly lower.
     const dev::Device dev = uniformDevice(graph::ringTopology(5));
     const ckt::QuantumCircuit c = sxRounds(5, 6);
-    const ZzxDeviceTables tables(dev);
+    const CutTables tables(dev, SchedPolicy::Zzx);
 
-    const Schedule weighted =
-        zzxWeightedSchedule(c, dev, GateDurations{}, {}, tables);
-    const Schedule cycle =
-        cycleAwareSchedule(c, dev, GateDurations{}, {}, tables);
+    const Schedule weighted = schedule(SchedPolicy::ZzxWeighted, c, dev,
+                                       GateDurations{}, {}, &tables);
+    const Schedule cycle = schedule(SchedPolicy::CycleAware, c, dev,
+                                    GateDurations{}, {}, &tables);
 
     const std::vector<double> acc_w = accumulatedZz(weighted, tables.zz);
     const std::vector<double> acc_c = accumulatedZz(cycle, tables.zz);
@@ -109,9 +113,9 @@ TEST(CycleSchedTest, AccumulatedZzMatchesLayerCounts)
     // phase equals the sum of NC * duration over physical layers.
     const dev::Device dev = uniformDevice(graph::ringTopology(5));
     const ckt::QuantumCircuit c = sxRounds(5, 3);
-    const ZzxDeviceTables tables(dev);
+    const CutTables tables(dev, SchedPolicy::Zzx);
     const Schedule s =
-        cycleAwareSchedule(c, dev, GateDurations{}, {}, tables);
+        schedule(SchedPolicy::CycleAware, c, dev, GateDurations{}, {}, &tables);
 
     const std::vector<double> acc = accumulatedZz(s, tables.zz);
     double total = 0.0;
@@ -139,30 +143,11 @@ TEST(CycleSchedTest, SchedulesAreValidAndMeetR)
         c.sx(q);
     c.rzx(3, 4, kPi / 2.0);
 
-    const Schedule s = cycleAwareSchedule(c, dev, GateDurations{});
+    const Schedule s =
+        schedule(SchedPolicy::CycleAware, c, dev, GateDurations{});
     testsup::expectValidSchedule(s, c, dev, "cycle trigrid");
     testsup::expectSuppressionInvariants(
         s, dev, resolveZzxOptions({}, dev), "cycle trigrid");
-}
-
-TEST(CycleSchedTest, SchedulerClassRoundTripsThroughFactory)
-{
-    const auto sched = makeScheduler(SchedPolicy::CycleAware);
-    EXPECT_EQ(sched->name(), "CycleAware");
-    EXPECT_EQ(schedPolicyName(SchedPolicy::CycleAware), "CycleAware");
-    EXPECT_EQ(schedPolicyFromName("CycleAware"),
-              SchedPolicy::CycleAware);
-    EXPECT_EQ(schedPolicyFromName("cycle"), SchedPolicy::CycleAware);
-
-    const dev::Device dev = uniformDevice(graph::ringTopology(5));
-    const ckt::QuantumCircuit c = sxRounds(5, 4);
-    const auto state = sched->prepare(dev);
-    const Schedule via_iface =
-        sched->schedule(c, dev, GateDurations{}, state.get());
-    const Schedule direct = cycleAwareSchedule(c, dev, GateDurations{});
-    ASSERT_EQ(via_iface.layers.size(), direct.layers.size());
-    for (size_t i = 0; i < via_iface.layers.size(); ++i)
-        EXPECT_EQ(via_iface.layers[i].side, direct.layers[i].side);
 }
 
 } // namespace

@@ -181,33 +181,10 @@ TEST(ExactSchedTest, ExactScheduleIsValidAndMeetsR)
     for (int q = 0; q < 6; ++q)
         c.sx(q);
 
-    const Schedule s = exactSchedule(c, dev, GateDurations{});
+    const Schedule s = schedule(SchedPolicy::Exact, c, dev, GateDurations{});
     testsup::expectValidSchedule(s, c, dev, "exact trigrid");
     testsup::expectSuppressionInvariants(
         s, dev, resolveZzxOptions({}, dev), "exact trigrid");
-}
-
-TEST(ExactSchedTest, SchedulerClassRoundTripsThroughFactory)
-{
-    const auto sched = makeScheduler(SchedPolicy::Exact);
-    EXPECT_EQ(sched->name(), "ExactSched");
-    EXPECT_EQ(schedPolicyName(SchedPolicy::Exact), "ExactSched");
-    EXPECT_EQ(schedPolicyFromName("ExactSched"), SchedPolicy::Exact);
-    EXPECT_EQ(schedPolicyFromName("exact"), SchedPolicy::Exact);
-
-    // Scheduler-interface output matches the direct entry point.
-    const dev::Device dev = uniformDevice(graph::gridTopology(2, 3));
-    ckt::QuantumCircuit c(6);
-    for (int q = 0; q < 6; ++q)
-        c.sx(q);
-    c.rzx(0, 1, kPi / 2.0);
-    const auto state = sched->prepare(dev);
-    const Schedule via_iface =
-        sched->schedule(c, dev, GateDurations{}, state.get());
-    const Schedule direct = exactSchedule(c, dev, GateDurations{});
-    ASSERT_EQ(via_iface.layers.size(), direct.layers.size());
-    for (size_t i = 0; i < via_iface.layers.size(); ++i)
-        EXPECT_EQ(via_iface.layers[i].side, direct.layers[i].side);
 }
 
 } // namespace

@@ -33,6 +33,23 @@ device23(uint64_t seed = 3)
                        rng);
 }
 
+/** Compile through a fresh Compiler; a failed compile throws. */
+CompiledProgram
+compile(const ckt::QuantumCircuit &c, const dev::Device &dev,
+        const CompileOptions &opt)
+{
+    return unwrapOrThrow(CompilerBuilder(dev).options(opt).build().compile(c));
+}
+
+/** Segment-wise counterpart of compile(). */
+CompiledProgram
+compileSegments(const std::vector<ckt::QuantumCircuit> &segments,
+                const dev::Device &dev, const CompileOptions &opt)
+{
+    return unwrapOrThrow(
+        CompilerBuilder(dev).options(opt).build().compileSegments(segments));
+}
+
 TEST(SegmentsTest, ConcatenationPreservesSemantics)
 {
     auto dev = device23();
@@ -59,8 +76,8 @@ TEST(SegmentsTest, ConcatenationPreservesSemantics)
     CompileOptions opt;
     opt.pulse = PulseMethod::Gaussian;
     opt.sched = SchedPolicy::Zzx;
-    auto one = compileForDevice(whole, dev, opt);
-    auto many = compileSegmentsForDevice(segments, dev, opt);
+    auto one = compile(whole, dev, opt);
+    auto many = compileSegments(segments, dev, opt);
 
     auto a = sim::runIdealSchedule(one.schedule);
     auto b = sim::runIdealSchedule(many.schedule);
@@ -81,7 +98,7 @@ TEST(SegmentsTest, LayoutThreadsAcrossSegments)
     CompileOptions opt;
     opt.pulse = PulseMethod::Gaussian;
     opt.sched = SchedPolicy::Par;
-    auto prog = compileSegmentsForDevice(segments, dev, opt);
+    auto prog = compileSegments(segments, dev, opt);
     // The second segment should need no further SWAPs: the total
     // two-qubit count is 2 gates + the SWAPs of segment 1 only
     // (3 CX per SWAP, 2 SWAPs for distance 3).
@@ -93,7 +110,7 @@ TEST(SegmentsTest, EmptySegmentListRejected)
     auto dev = device23();
     CompileOptions opt;
     opt.pulse = PulseMethod::Gaussian;
-    EXPECT_THROW(compileSegmentsForDevice({}, dev, opt), UserError);
+    EXPECT_THROW(compileSegments({}, dev, opt), UserError);
 }
 
 TEST(SegmentsTest, RegisterSizeMismatchRejected)
@@ -104,7 +121,7 @@ TEST(SegmentsTest, RegisterSizeMismatchRejected)
     segments.emplace_back(4); // different logical register
     CompileOptions opt;
     opt.pulse = PulseMethod::Gaussian;
-    EXPECT_THROW(compileSegmentsForDevice(segments, dev, opt),
+    EXPECT_THROW(compileSegments(segments, dev, opt),
                  UserError);
 }
 
@@ -116,8 +133,8 @@ TEST(SegmentsTest, SingleSegmentMatchesWholeCompile)
     CompileOptions opt;
     opt.pulse = PulseMethod::Gaussian;
     opt.sched = SchedPolicy::Zzx;
-    auto whole = compileForDevice(c, dev, opt);
-    auto segmented = compileSegmentsForDevice({c}, dev, opt);
+    auto whole = compile(c, dev, opt);
+    auto segmented = compileSegments({c}, dev, opt);
     ASSERT_EQ(whole.schedule.layers.size(),
               segmented.schedule.layers.size());
     EXPECT_EQ(whole.native.size(), segmented.native.size());
@@ -136,7 +153,7 @@ TEST(SegmentsTest, FinalLayoutExposesThreadedPermutation)
     CompileOptions opt;
     opt.pulse = PulseMethod::Gaussian;
     opt.sched = SchedPolicy::Par;
-    auto prog = compileSegmentsForDevice(segments, dev, opt);
+    auto prog = compileSegments(segments, dev, opt);
     // The SWAP walk of segment 1 moved logical qubit 0; the exposed
     // layout is a permutation reflecting it.
     ASSERT_EQ(int(prog.final_layout.size()), 6);
@@ -272,7 +289,7 @@ TEST(HeavyHexTest, SchedulerRunsOnHeavyHex)
     c.cx(0, 1);
     ckt::QuantumCircuit native = ckt::decomposeToNative(
         ckt::routeCircuit(c, dev.graph()).circuit);
-    Schedule s = zzxSchedule(native, dev, GateDurations{});
+    Schedule s = schedule(SchedPolicy::Zzx, native, dev, GateDurations{});
     EXPECT_EQ(s.circuitGateCount(), int(native.size()));
 }
 
@@ -286,7 +303,7 @@ TEST(ScheduleIoTest, JsonShapeAndContent)
     CompileOptions opt;
     opt.pulse = PulseMethod::Gaussian;
     opt.sched = SchedPolicy::Zzx;
-    auto prog = compileForDevice(c, dev, opt);
+    auto prog = compile(c, dev, opt);
 
     std::ostringstream os;
     writeScheduleJson(prog.schedule, *prog.library, os);
@@ -315,7 +332,7 @@ TEST(ScheduleIoTest, SamplesOmittedWhenDisabled)
     c.sx(0);
     CompileOptions opt;
     opt.pulse = PulseMethod::Gaussian;
-    auto prog = compileForDevice(c, dev, opt);
+    auto prog = compile(c, dev, opt);
     std::ostringstream os;
     ScheduleIoOptions io;
     io.sample_dt = 0.0;

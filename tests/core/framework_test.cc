@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/compiler.h"
+
 #include "circuit/benchmarks.h"
 #include "common/units.h"
 #include "graph/topologies.h"
@@ -18,11 +20,21 @@ device23(uint64_t seed = 3)
                        rng);
 }
 
+/** Compile through a fresh Compiler; a failed compile throws. */
+CompiledProgram
+compile(const ckt::QuantumCircuit &c, const dev::Device &dev,
+        const CompileOptions &opt)
+{
+    return unwrapOrThrow(CompilerBuilder(dev).options(opt).build().compile(c));
+}
+
 TEST(FrameworkTest, PolicyNames)
 {
     EXPECT_EQ(schedPolicyName(SchedPolicy::Par), "ParSched");
     EXPECT_EQ(schedPolicyName(SchedPolicy::Zzx), "ZZXSched");
     EXPECT_EQ(schedPolicyName(SchedPolicy::ZzxWeighted), "ZzxWeighted");
+    EXPECT_EQ(schedPolicyName(SchedPolicy::Exact), "ExactSched");
+    EXPECT_EQ(schedPolicyName(SchedPolicy::CycleAware), "CycleAware");
 }
 
 TEST(FrameworkTest, PolicyNameRoundTrips)
@@ -77,7 +89,7 @@ TEST(FrameworkTest, CompiledProgramIsComplete)
     CompileOptions opt;
     opt.pulse = PulseMethod::Gaussian;
     opt.sched = SchedPolicy::Zzx;
-    CompiledProgram prog = compileForDevice(c, dev, opt);
+    CompiledProgram prog = compile(c, dev, opt);
 
     EXPECT_TRUE(prog.native.isNative());
     EXPECT_TRUE(ckt::respectsConnectivity(prog.native, dev.graph()));
@@ -98,9 +110,9 @@ TEST(FrameworkTest, BothPoliciesAgreeOnSemantics)
     CompileOptions zzx = par;
     zzx.sched = SchedPolicy::Zzx;
     auto a = sim::runIdealSchedule(
-        compileForDevice(c, dev, par).schedule);
+        compile(c, dev, par).schedule);
     auto b = sim::runIdealSchedule(
-        compileForDevice(c, dev, zzx).schedule);
+        compile(c, dev, zzx).schedule);
     EXPECT_NEAR(a.fidelity(b), 1.0, 1e-9);
 }
 
@@ -113,7 +125,7 @@ TEST(FrameworkTest, DcgLibraryStretchesDurations)
     CompileOptions opt;
     opt.pulse = PulseMethod::DCG;
     opt.sched = SchedPolicy::Zzx;
-    CompiledProgram prog = compileForDevice(c, dev, opt);
+    CompiledProgram prog = compile(c, dev, opt);
     ASSERT_EQ(prog.schedule.physicalLayerCount(), 1);
     // Layer duration = max(SX 120 ns, supplemented identity 40 ns).
     EXPECT_DOUBLE_EQ(prog.schedule.executionTime(), 120.0);
@@ -125,7 +137,7 @@ TEST(FrameworkTest, EmptyCircuitYieldsEmptySchedule)
     ckt::QuantumCircuit c(6, "empty");
     CompileOptions opt;
     opt.pulse = PulseMethod::Gaussian;
-    CompiledProgram prog = compileForDevice(c, dev, opt);
+    CompiledProgram prog = compile(c, dev, opt);
     EXPECT_EQ(prog.schedule.physicalLayerCount(), 0);
     EXPECT_DOUBLE_EQ(prog.schedule.executionTime(), 0.0);
 }
@@ -137,7 +149,7 @@ TEST(FrameworkTest, RoutingHandlesNonAdjacentGates)
     c.cx(0, 5); // distance 3 on the 2x3 grid
     CompileOptions opt;
     opt.pulse = PulseMethod::Gaussian;
-    CompiledProgram prog = compileForDevice(c, dev, opt);
+    CompiledProgram prog = compile(c, dev, opt);
     EXPECT_TRUE(ckt::respectsConnectivity(prog.native, dev.graph()));
     EXPECT_GT(prog.native.twoQubitCount(), 1); // SWAPs inserted
 }

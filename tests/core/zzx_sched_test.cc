@@ -1,4 +1,4 @@
-#include "core/zzx_sched.h"
+#include "core/sched_walk.h"
 
 #include <gtest/gtest.h>
 
@@ -64,7 +64,7 @@ TEST(ZzxSchedTest, SingleQubitLayerCompleteSuppression)
     for (int q = 0; q < 6; ++q)
         c.sx(q);
     auto dev = gridDevice(2, 3);
-    Schedule s = zzxSchedule(c, dev, GateDurations{});
+    Schedule s = schedule(SchedPolicy::Zzx, c, dev, GateDurations{});
     checkInvariants(s, c, dev);
     for (const Layer &l : s.layers)
         if (!l.is_virtual) {
@@ -79,7 +79,7 @@ TEST(ZzxSchedTest, IdentitySupplementationFillsS)
     ckt::QuantumCircuit c(6);
     c.sx(0); // lone gate
     auto dev = gridDevice(2, 3);
-    Schedule s = zzxSchedule(c, dev, GateDurations{});
+    Schedule s = schedule(SchedPolicy::Zzx, c, dev, GateDurations{});
     checkInvariants(s, c, dev);
     ASSERT_EQ(s.physicalLayerCount(), 1);
     const Layer &l = s.layers.front();
@@ -107,7 +107,7 @@ TEST(ZzxSchedTest, RequirementBoundsHold)
     ckt::QuantumCircuit native = ckt::decomposeToNative(routed.circuit);
 
     ZzxOptions opt = resolveZzxOptions({}, dev);
-    Schedule s = zzxSchedule(native, dev, GateDurations{}, opt);
+    Schedule s = schedule(SchedPolicy::Zzx, native, dev, GateDurations{}, opt);
     checkInvariants(s, native, dev);
     for (const Layer &l : s.layers) {
         if (l.is_virtual)
@@ -133,7 +133,7 @@ TEST(ZzxSchedTest, SemanticsMatchParSched)
         ckt::routeCircuit(logical, dev.graph()).circuit);
 
     Schedule par = parSchedule(native, dev, GateDurations{});
-    Schedule zzx = zzxSchedule(native, dev, GateDurations{});
+    Schedule zzx = schedule(SchedPolicy::Zzx, native, dev, GateDurations{});
     sim::StateVector a = sim::runIdealSchedule(par);
     sim::StateVector b = sim::runIdealSchedule(zzx);
     EXPECT_NEAR(a.fidelity(b), 1.0, 1e-9);
@@ -158,7 +158,7 @@ TEST(ZzxSchedTest, ExecutionTimeWithinTwoXOfParSched)
     ckt::QuantumCircuit native = ckt::decomposeToNative(
         ckt::routeCircuit(logical, dev.graph()).circuit);
     Schedule par = parSchedule(native, dev, GateDurations{});
-    Schedule zzx = zzxSchedule(native, dev, GateDurations{});
+    Schedule zzx = schedule(SchedPolicy::Zzx, native, dev, GateDurations{});
     EXPECT_LE(zzx.executionTime(), 3.0 * par.executionTime());
     EXPECT_GE(zzx.executionTime(), par.executionTime() - 1e-9);
 }
@@ -173,7 +173,7 @@ TEST(ZzxSchedTest, Theorem61ClosestGatesSplit)
     c.rzx(4, 1, kPi / 2.0);
     c.rzx(2, 5, kPi / 2.0);
     auto dev = gridDevice(3, 3);
-    Schedule s = zzxSchedule(c, dev, GateDurations{});
+    Schedule s = schedule(SchedPolicy::Zzx, c, dev, GateDurations{});
     // Find the layer index of each gate.
     auto layer_of = [&](int q0, int q1) {
         for (size_t i = 0; i < s.layers.size(); ++i)
@@ -205,7 +205,7 @@ TEST(ZzxSchedTest, VirtualGatesFlushInOrder)
     c.rz(0, 0.2);
     c.sx(0);
     auto dev = gridDevice(1, 2);
-    Schedule s = zzxSchedule(c, dev, GateDurations{});
+    Schedule s = schedule(SchedPolicy::Zzx, c, dev, GateDurations{});
     // Order: virtual, physical, virtual, physical.
     std::vector<bool> kinds;
     for (const Layer &l : s.layers)
@@ -223,8 +223,8 @@ TEST(ZzxSchedTest, DeterministicAcrossRuns)
     c.rzx(0, 1, kPi / 2.0);
     c.rzx(4, 5, kPi / 2.0);
     auto dev = gridDevice(2, 3);
-    Schedule s1 = zzxSchedule(c, dev, GateDurations{});
-    Schedule s2 = zzxSchedule(c, dev, GateDurations{});
+    Schedule s1 = schedule(SchedPolicy::Zzx, c, dev, GateDurations{});
+    Schedule s2 = schedule(SchedPolicy::Zzx, c, dev, GateDurations{});
     ASSERT_EQ(s1.layers.size(), s2.layers.size());
     for (size_t i = 0; i < s1.layers.size(); ++i)
         EXPECT_EQ(s1.layers[i].gates.size(), s2.layers[i].gates.size());
@@ -271,11 +271,11 @@ TEST(ZzxSchedTest, WeightedMatchesClassicOnUniformSnapshot)
     for (int q = 0; q < 6; ++q)
         c.sx(q);
 
-    const ZzxDeviceTables tables(dev);
+    const CutTables tables(dev, SchedPolicy::Zzx);
     const Schedule classic =
-        zzxSchedule(c, dev, GateDurations{}, {}, tables);
-    const Schedule weighted =
-        zzxWeightedSchedule(c, dev, GateDurations{}, {}, tables);
+        schedule(SchedPolicy::Zzx, c, dev, GateDurations{}, {}, &tables);
+    const Schedule weighted = schedule(SchedPolicy::ZzxWeighted, c, dev,
+                                       GateDurations{}, {}, &tables);
     expectSameSchedule(classic, weighted);
 }
 
@@ -296,11 +296,11 @@ TEST(ZzxSchedTest, WeightedSteersResidualOntoWeakCouplers)
     for (int q = 0; q < 6; ++q)
         c.sx(q);
 
-    const ZzxDeviceTables tables(dev);
+    const CutTables tables(dev, SchedPolicy::Zzx);
     const Schedule classic =
-        zzxSchedule(c, dev, GateDurations{}, {}, tables);
-    const Schedule weighted =
-        zzxWeightedSchedule(c, dev, GateDurations{}, {}, tables);
+        schedule(SchedPolicy::Zzx, c, dev, GateDurations{}, {}, &tables);
+    const Schedule weighted = schedule(SchedPolicy::ZzxWeighted, c, dev,
+                                       GateDurations{}, {}, &tables);
     checkInvariants(weighted, c, dev);
 
     EXPECT_LE(meanResidualZz(weighted, tables.zz),
@@ -339,12 +339,12 @@ TEST(ZzxSchedTest, WeightedUsesRateMagnitudes)
     for (int q = 0; q < 6; ++q)
         c.sx(q);
 
-    const ZzxDeviceTables tables_pos(dev_pos);
-    const ZzxDeviceTables tables_neg(dev_neg);
-    const Schedule wpos =
-        zzxWeightedSchedule(c, dev_pos, GateDurations{}, {}, tables_pos);
-    const Schedule wneg =
-        zzxWeightedSchedule(c, dev_neg, GateDurations{}, {}, tables_neg);
+    const CutTables tables_pos(dev_pos, SchedPolicy::Zzx);
+    const CutTables tables_neg(dev_neg, SchedPolicy::Zzx);
+    const Schedule wpos = schedule(SchedPolicy::ZzxWeighted, c, dev_pos,
+                                   GateDurations{}, {}, &tables_pos);
+    const Schedule wneg = schedule(SchedPolicy::ZzxWeighted, c, dev_neg,
+                                   GateDurations{}, {}, &tables_neg);
     expectSameSchedule(wpos, wneg);
     for (const Layer &l : wneg.layers)
         if (!l.is_virtual)
@@ -370,7 +370,7 @@ TEST(ZzxSchedTest, WeightedRespectsRequirementBounds)
 
     const ZzxOptions opt = resolveZzxOptions({}, dev);
     const Schedule s =
-        zzxWeightedSchedule(native, dev, GateDurations{}, opt);
+        schedule(SchedPolicy::ZzxWeighted, native, dev, GateDurations{}, opt);
     checkInvariants(s, native, dev);
     for (const Layer &l : s.layers) {
         if (l.is_virtual)
@@ -386,7 +386,7 @@ TEST(ZzxSchedTest, DeviceTablesCarryCalibratedZz)
     // rates so policies and diagnostics can weigh cuts by calibrated
     // residual crosstalk.
     const dev::Device dev = gridDevice(2, 3);
-    const ZzxDeviceTables tables(dev);
+    const CutTables tables(dev, SchedPolicy::Zzx);
     EXPECT_EQ(tables.zz, dev.couplings());
     EXPECT_EQ(int(tables.zz.size()), dev.numCouplings());
 }

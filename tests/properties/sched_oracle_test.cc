@@ -28,9 +28,7 @@
 #include "common/rng.h"
 #include "common/suppression_invariants.h"
 #include "common/units.h"
-#include "core/cycle_sched.h"
-#include "core/exact_sched.h"
-#include "core/par_sched.h"
+#include "core/sched_walk.h"
 #include "graph/topologies.h"
 
 namespace qzz::core {
@@ -158,8 +156,8 @@ TEST(SchedOracleTest, AllPoliciesScheduleGeneratedCircuitsValidly)
                                       khz(200.0));
         const dev::Device dev(topo, dev::DeviceParams{}, couplings);
         const ZzxOptions resolved = resolveZzxOptions({}, dev);
-        const ZzxDeviceTables ztables(dev);
-        const ExactDeviceTables etables(dev);
+        const CutTables heuristic(dev, SchedPolicy::Zzx);
+        const CutTables exact(dev, SchedPolicy::Exact);
 
         for (int seed = 0; seed < 8; ++seed) {
             const ckt::QuantumCircuit c = testsup::randomNativeCircuit(
@@ -167,27 +165,21 @@ TEST(SchedOracleTest, AllPoliciesScheduleGeneratedCircuitsValidly)
             const std::string ctx =
                 topo.name + " seed " + std::to_string(seed);
 
-            const Schedule par = parSchedule(c, dev, durations);
+            const Schedule par = schedule(SchedPolicy::Par, c, dev,
+                                          durations);
             testsup::expectValidSchedule(par, c, dev, ctx + " par");
 
-            const Schedule zzx =
-                zzxSchedule(c, dev, durations, {}, ztables);
-            const Schedule wgt =
-                zzxWeightedSchedule(c, dev, durations, {}, ztables);
-            const Schedule cyc =
-                cycleAwareSchedule(c, dev, durations, {}, ztables);
-            const Schedule exa = exactSchedule(c, dev, durations, {},
-                                               ExactLimits{}, etables);
-            const std::pair<const Schedule *, const char *> cut_based[] =
-                {{&zzx, "zzx"},
-                 {&wgt, "wgt"},
-                 {&cyc, "cyc"},
-                 {&exa, "exact"}};
-            for (const auto &[s, label] : cut_based) {
-                testsup::expectValidSchedule(*s, c, dev,
-                                             ctx + " " + label);
-                testsup::expectSuppressionInvariants(
-                    *s, dev, resolved, ctx + " " + label);
+            for (SchedPolicy policy :
+                 {SchedPolicy::Zzx, SchedPolicy::ZzxWeighted,
+                  SchedPolicy::CycleAware, SchedPolicy::Exact}) {
+                const Schedule s = schedule(
+                    policy, c, dev, durations, {},
+                    policy == SchedPolicy::Exact ? &exact : &heuristic);
+                const std::string label =
+                    ctx + " " + schedPolicyName(policy);
+                testsup::expectValidSchedule(s, c, dev, label);
+                testsup::expectSuppressionInvariants(s, dev, resolved,
+                                                     label);
             }
         }
     }

@@ -14,7 +14,7 @@
 #include "circuit/router.h"
 #include "common/rng.h"
 #include "core/par_sched.h"
-#include "core/zzx_sched.h"
+#include "core/sched_walk.h"
 #include "graph/topologies.h"
 #include "sim/ideal_sim.h"
 
@@ -76,7 +76,7 @@ TEST_P(SchedulePropertyTest, InvariantsHold)
 
     const GateDurations durations{};
     Schedule par = parSchedule(native, device, durations);
-    Schedule zzx = zzxSchedule(native, device, durations);
+    Schedule zzx = schedule(SchedPolicy::Zzx, native, device, durations);
 
     for (const Schedule *s : {&par, &zzx}) {
         int total = 0;

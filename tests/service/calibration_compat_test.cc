@@ -74,14 +74,6 @@ TEST(CalibrationCompatTest, UniformSnapshotCompilesBitIdentical)
         EXPECT_EQ(programArtifactString(ra.program),
                   programArtifactString(rb.program));
     }
-
-    // The legacy throwing shim rides the same pipeline.
-    const core::CompiledProgram legacy =
-        core::compileForDevice(circuit, shim, core::CompileOptions{});
-    const core::CompiledProgram snapped =
-        core::compileForDevice(circuit, snap, core::CompileOptions{});
-    EXPECT_EQ(programArtifactString(legacy),
-              programArtifactString(snapped));
 }
 
 TEST(CalibrationCompatTest, FingerprintSensitiveToEveryCalibField)

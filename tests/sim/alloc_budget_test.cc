@@ -21,7 +21,7 @@
 
 #include "common/rng.h"
 #include "common/units.h"
-#include "core/zzx_sched.h"
+#include "core/sched_walk.h"
 #include "graph/topologies.h"
 #include "sim/lindblad.h"
 #include "sim/pulse_sim.h"
@@ -124,7 +124,7 @@ TEST(SimAllocBudget, AtMostOneAllocationPerStepAtTwelveQubits)
         c.rzx(5, 9, kPi / 2.0);
     }
     const core::Schedule sched =
-        core::zzxSchedule(c, dev, core::GateDurations{});
+        core::schedule(core::SchedPolicy::Zzx, c, dev, core::GateDurations{});
     PulseSimOptions opt;
     opt.dt = 0.1;
     const PulseScheduleSimulator sim(dev, pulse::PulseLibrary::gaussian(),
@@ -151,7 +151,7 @@ TEST(SimAllocBudget, AtMostOneAllocationPerStepOnDecoherentDensityMatrix)
         c.rzx(4, 5, kPi / 2.0);
     }
     const core::Schedule sched =
-        core::zzxSchedule(c, dev, core::GateDurations{});
+        core::schedule(core::SchedPolicy::Zzx, c, dev, core::GateDurations{});
     PulseSimOptions opt;
     opt.dt = 0.1;
     const DensityMatrixScheduleSimulator sim(

@@ -30,7 +30,7 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/par_sched.h"
-#include "core/zzx_sched.h"
+#include "core/sched_walk.h"
 #include "dense_oracle.h"
 #include "graph/topologies.h"
 #include "linalg/expm.h"
@@ -609,7 +609,8 @@ compiledSchedules(const dev::Device &dev)
                 c.rzx(e.u, e.v, kPi / 2.0);
     }
     return {core::parSchedule(c, dev, core::GateDurations{}),
-            core::zzxSchedule(c, dev, core::GateDurations{})};
+            core::schedule(core::SchedPolicy::Zzx, c, dev,
+                           core::GateDurations{})};
 }
 
 /** @p dev with heterogeneous T1/T2 (ns) on its first eight qubits:

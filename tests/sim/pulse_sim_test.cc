@@ -5,7 +5,7 @@
 #include "circuit/gate.h"
 #include "common/units.h"
 #include "core/par_sched.h"
-#include "core/zzx_sched.h"
+#include "core/sched_walk.h"
 #include "graph/topologies.h"
 #include "sim/ideal_sim.h"
 #include "sim/lindblad.h"
@@ -192,7 +192,8 @@ TEST(PulseSimTest, ZzxScheduleRunsEndToEnd)
     ckt::QuantumCircuit c(6);
     for (int q = 0; q < 6; ++q)
         c.sx(q);
-    auto sched = core::zzxSchedule(c, dev, core::GateDurations{});
+    auto sched =
+        core::schedule(core::SchedPolicy::Zzx, c, dev, core::GateDurations{});
     PulseScheduleSimulator sim(dev, pulse::PulseLibrary::gaussian());
     StateVector actual = sim.run(sched);
     StateVector ideal = runIdealSchedule(sched);
