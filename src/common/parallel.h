@@ -4,10 +4,9 @@
  *
  * One lazily-created process-wide pool of hardware_concurrency - 1
  * worker threads backs every parallelFor() in the process: the
- * simulator's row-block kernel splits and Compiler::compileBatch()
+ * simulator's idle-qubit layer split and Compiler::compileBatch()
  * both dispatch through it, so repeated calls never pay thread
- * creation again (the seed compileBatch() spawned a fresh
- * std::thread set per batch).
+ * creation again.
  *
  * Determinism contract: the range is pre-partitioned into fixed
  * contiguous blocks and every block is executed exactly once, so the

@@ -12,18 +12,17 @@
  * into independent 2x2 (4x4) blocks mixing row pair (r0, r1) with
  * column pair (c0, c1), so one cache-blocked sweep applies the left
  * and the right factor together, in registers, with zero heap
- * allocation — instead of two full passes over the matrix.  For
- * n >= 8 qubits the row-block loops split across the shared
- * common::parallelFor() pool (block-disjoint writes, so results are
- * independent of thread count).
+ * allocation — instead of two full passes over the matrix.  Every
+ * kernel is one sequential loop.
  *
  * The schedule simulator (sim/pulse_sim.h) splits registers of 5 or
  * more qubits on the idle qubits of each layer into blocks that are
- * themselves DensityMatrix objects: the two-table applyPhaseVector()
- * and applyDecoherenceAcross() exist for those blocks, and apply the
- * same per-entry arithmetic as the whole-register kernels, so the
- * split is bit-identical below the pool threshold (docs/performance.md
- * has the n >= 8 exception).  The kernel-equivalence suite
+ * themselves DensityMatrix objects, and runs them across the shared
+ * pool: that split is the simulator's one level of parallelism.  The
+ * two-table applyPhaseVector() and applyDecoherenceAcross() exist for
+ * those blocks, and apply the same per-entry arithmetic as the
+ * whole-register kernels, so the split is bit-identical at every
+ * register size.  The kernel-equivalence suite
  * (tests/sim/kernel_equivalence_test.cc) pins every kernel to a dense
  * 2^n x 2^n oracle within 1e-10.  See docs/performance.md.
  */

@@ -6,13 +6,16 @@
  * integrator gain from it, and the rest of the library keeps baseline
  * codegen.  The block kernels of the idle-qubit split (the two-table
  * phase, applyDecoherenceAcross) live here too: they must round
- * exactly like the whole-register sweeps, FMA contraction included.
+ * exactly like the whole-register sweeps.  Every kernel is one
+ * sequential loop, and the file is built without FMA contraction, so
+ * a loop's vectorized body and its scalar path round alike: a split
+ * block, whose strides differ from the whole register's, gets the
+ * same bits whichever path the compiler gives each entry.
  */
 
 #include <cmath>
 
 #include "common/error.h"
-#include "common/parallel.h"
 #include "sim/density_matrix.h"
 
 namespace qzz::sim {
@@ -55,10 +58,6 @@ expandBit(size_t j, size_t mask)
     return ((j & ~(mask - 1)) << 1) | (j & (mask - 1));
 }
 
-/** Row blocks of at least this many elements go to the shared pool. */
-constexpr size_t kParallelDim = 256; // d = 2^8  <=>  n >= 8 qubits
-constexpr size_t kRowGrain = 8;      // row groups per pool block
-
 } // namespace
 
 void
@@ -77,33 +76,26 @@ DensityMatrix::apply1Q(const la::Mat2 &u, int q)
     // visit: left factor first (rows mix), then the right factor
     // (columns mix) — the same arithmetic as a left pass followed by
     // a right pass, in the same order, with half the memory traffic.
-    auto body = [&](size_t jlo, size_t jhi) {
-        for (size_t j = jlo; j < jhi; ++j) {
-            const size_t r0 = expandBit(j, stride);
-            cplx *row0 = m + r0 * d;
-            cplx *row1 = row0 + stride * d;
-            for (size_t base = 0; base < d; base += 2 * stride) {
-                for (size_t off = 0; off < stride; ++off) {
-                    const size_t c0 = base + off, c1 = c0 + stride;
-                    const cplx a00 = row0[c0], a01 = row0[c1];
-                    const cplx a10 = row1[c0], a11 = row1[c1];
-                    const cplx t00 = cmul2(u00, a00, u01, a10);
-                    const cplx t01 = cmul2(u00, a01, u01, a11);
-                    const cplx t10 = cmul2(u10, a00, u11, a10);
-                    const cplx t11 = cmul2(u10, a01, u11, a11);
-                    row0[c0] = cmul2(t00, v00, t01, v01);
-                    row0[c1] = cmul2(t00, v10, t01, v11);
-                    row1[c0] = cmul2(t10, v00, t11, v01);
-                    row1[c1] = cmul2(t10, v10, t11, v11);
-                }
+    for (size_t j = 0; j < d / 2; ++j) {
+        const size_t r0 = expandBit(j, stride);
+        cplx *row0 = m + r0 * d;
+        cplx *row1 = row0 + stride * d;
+        for (size_t base = 0; base < d; base += 2 * stride) {
+            for (size_t off = 0; off < stride; ++off) {
+                const size_t c0 = base + off, c1 = c0 + stride;
+                const cplx a00 = row0[c0], a01 = row0[c1];
+                const cplx a10 = row1[c0], a11 = row1[c1];
+                const cplx t00 = cmul2(u00, a00, u01, a10);
+                const cplx t01 = cmul2(u00, a01, u01, a11);
+                const cplx t10 = cmul2(u10, a00, u11, a10);
+                const cplx t11 = cmul2(u10, a01, u11, a11);
+                row0[c0] = cmul2(t00, v00, t01, v01);
+                row0[c1] = cmul2(t00, v10, t01, v11);
+                row1[c0] = cmul2(t10, v00, t11, v01);
+                row1[c1] = cmul2(t10, v10, t11, v11);
             }
         }
-    };
-    const size_t pairs = d / 2;
-    if (d >= kParallelDim)
-        common::parallelFor(0, pairs, kRowGrain, body);
-    else
-        body(0, pairs);
+    }
 }
 
 void
@@ -124,49 +116,42 @@ DensityMatrix::apply2Q(const la::Mat4 &u, int q_hi, int q_lo)
 
     // 4x4 blocks over (row quad, column quad), transformed in
     // registers in one visit, accumulating k-ascending.
-    auto body = [&](size_t jlo, size_t jhi) {
-        for (size_t jr = jlo; jr < jhi; ++jr) {
-            const size_t kr =
-                expandBit(expandBit(jr, s_min), s_max);
-            cplx *rows[4];
-            for (int i = 0; i < 4; ++i) {
-                const size_t r = kr | ((i & 2) ? s_hi : 0) |
-                                 ((i & 1) ? s_lo : 0);
-                rows[i] = mm + r * d;
-            }
-            for (size_t jc = 0; jc < d / 4; ++jc) {
-                const size_t kc =
-                    expandBit(expandBit(jc, s_min), s_max);
-                size_t cols[4];
-                for (int jj = 0; jj < 4; ++jj)
-                    cols[jj] = kc | ((jj & 2) ? s_hi : 0) |
-                               ((jj & 1) ? s_lo : 0);
-                cplx a[4][4], t[4][4];
-                for (int i = 0; i < 4; ++i)
-                    for (int jj = 0; jj < 4; ++jj)
-                        a[i][jj] = rows[i][cols[jj]];
-                for (int i = 0; i < 4; ++i)
-                    for (int jj = 0; jj < 4; ++jj) {
-                        cplx acc{0.0, 0.0};
-                        for (int k = 0; k < 4; ++k)
-                            acc += cmul(u[size_t(i * 4 + k)], a[k][jj]);
-                        t[i][jj] = acc;
-                    }
-                for (int i = 0; i < 4; ++i)
-                    for (int jj = 0; jj < 4; ++jj) {
-                        cplx acc{0.0, 0.0};
-                        for (int k = 0; k < 4; ++k)
-                            acc += cmul(t[i][k], v[jj * 4 + k]);
-                        rows[i][cols[jj]] = acc;
-                    }
-            }
+    for (size_t jr = 0; jr < d / 4; ++jr) {
+        const size_t kr =
+            expandBit(expandBit(jr, s_min), s_max);
+        cplx *rows[4];
+        for (int i = 0; i < 4; ++i) {
+            const size_t r = kr | ((i & 2) ? s_hi : 0) |
+                             ((i & 1) ? s_lo : 0);
+            rows[i] = mm + r * d;
         }
-    };
-    const size_t quads = d / 4;
-    if (d >= kParallelDim)
-        common::parallelFor(0, quads, kRowGrain, body);
-    else
-        body(0, quads);
+        for (size_t jc = 0; jc < d / 4; ++jc) {
+            const size_t kc =
+                expandBit(expandBit(jc, s_min), s_max);
+            size_t cols[4];
+            for (int jj = 0; jj < 4; ++jj)
+                cols[jj] = kc | ((jj & 2) ? s_hi : 0) |
+                           ((jj & 1) ? s_lo : 0);
+            cplx a[4][4], t[4][4];
+            for (int i = 0; i < 4; ++i)
+                for (int jj = 0; jj < 4; ++jj)
+                    a[i][jj] = rows[i][cols[jj]];
+            for (int i = 0; i < 4; ++i)
+                for (int jj = 0; jj < 4; ++jj) {
+                    cplx acc{0.0, 0.0};
+                    for (int k = 0; k < 4; ++k)
+                        acc += cmul(u[size_t(i * 4 + k)], a[k][jj]);
+                    t[i][jj] = acc;
+                }
+            for (int i = 0; i < 4; ++i)
+                for (int jj = 0; jj < 4; ++jj) {
+                    cplx acc{0.0, 0.0};
+                    for (int k = 0; k < 4; ++k)
+                        acc += cmul(t[i][k], v[jj * 4 + k]);
+                    rows[i][cols[jj]] = acc;
+                }
+        }
+    }
 }
 
 void
@@ -186,18 +171,12 @@ DensityMatrix::applyPhaseVector(std::span<const cplx> p_row,
     const cplx *pr = p_row.data();
     const cplx *pc = p_col.data();
 
-    auto body = [&](size_t rlo, size_t rhi) {
-        for (size_t r = rlo; r < rhi; ++r) {
-            const cplx p = pr[r];
-            cplx *row = m + r * d;
-            for (size_t c = 0; c < d; ++c)
-                row[c] = cmul(row[c], cmul(p, std::conj(pc[c])));
-        }
-    };
-    if (d >= kParallelDim)
-        common::parallelFor(0, d, kRowGrain, body);
-    else
-        body(0, d);
+    for (size_t r = 0; r < d; ++r) {
+        const cplx p = pr[r];
+        cplx *row = m + r * d;
+        for (size_t c = 0; c < d; ++c)
+            row[c] = cmul(row[c], cmul(p, std::conj(pc[c])));
+    }
 }
 
 void
@@ -230,40 +209,33 @@ DensityMatrix::applyDecoherence(int q, double g, double kp)
     // each 2x2 block over (row pair, column pair) in the qubit's bit
     // is independent, with the same per-element arithmetic as the
     // sequential channels.
-    auto body = [&](size_t jlo, size_t jhi) {
-        for (size_t j = jlo; j < jhi; ++j) {
-            const size_t r0 = expandBit(j, stride);
-            cplx *row0 = m + r0 * d;
-            cplx *row1 = row0 + stride * d;
-            for (size_t base = 0; base < d; base += 2 * stride) {
-                for (size_t off = 0; off < stride; ++off) {
-                    const size_t c0 = base + off;
-                    const size_t c1 = c0 + stride;
-                    cplx b00 = row0[c0], b01 = row0[c1];
-                    cplx b10 = row1[c0], b11 = row1[c1];
-                    if (damp) {
-                        b00 += g * b11;
-                        b01 *= sq;
-                        b10 *= sq;
-                        b11 *= om;
-                    }
-                    if (deph) {
-                        b01 *= kp;
-                        b10 *= kp;
-                    }
-                    row0[c0] = b00;
-                    row0[c1] = b01;
-                    row1[c0] = b10;
-                    row1[c1] = b11;
+    for (size_t j = 0; j < d / 2; ++j) {
+        const size_t r0 = expandBit(j, stride);
+        cplx *row0 = m + r0 * d;
+        cplx *row1 = row0 + stride * d;
+        for (size_t base = 0; base < d; base += 2 * stride) {
+            for (size_t off = 0; off < stride; ++off) {
+                const size_t c0 = base + off;
+                const size_t c1 = c0 + stride;
+                cplx b00 = row0[c0], b01 = row0[c1];
+                cplx b10 = row1[c0], b11 = row1[c1];
+                if (damp) {
+                    b00 += g * b11;
+                    b01 *= sq;
+                    b10 *= sq;
+                    b11 *= om;
                 }
+                if (deph) {
+                    b01 *= kp;
+                    b10 *= kp;
+                }
+                row0[c0] = b00;
+                row0[c1] = b01;
+                row1[c0] = b10;
+                row1[c1] = b11;
             }
         }
-    };
-    const size_t pairs = d / 2;
-    if (d >= kParallelDim)
-        common::parallelFor(0, pairs, kRowGrain, body);
-    else
-        body(0, pairs);
+    }
 }
 
 void

@@ -30,13 +30,11 @@
  * dephasing and damping, even on the idle qubits — keeps the XOR
  * r ^ c of an entry rho[r, c] fixed on those bits, so the 2^m XOR
  * classes fall apart instead.  Each part integrates the whole layer
- * on its own across the shared pool, with no barrier between steps.
- * Every entry sees the same kernels, in the same order, with the
- * same phases, so results are bit-identical to the unsplit loop.
- * The one exception is a density matrix of 8 or more qubits, whose
- * unsplit kernels run the pool's separately compiled copy of the 1Q
- * loop: it matches to rounding (docs/performance.md, "The idle-qubit
- * split").
+ * on its own across the shared pool, with no barrier between steps;
+ * this split is the simulator's only parallelism, and the register
+ * kernels themselves are sequential loops.  Every entry sees the same
+ * kernels, in the same order, with the same phases, so results are
+ * bit-identical to the unsplit loop at every register size.
  */
 
 #ifndef QZZ_SIM_PULSE_SIM_H

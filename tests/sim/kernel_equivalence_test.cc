@@ -7,13 +7,13 @@
  * simulators' shared step loop are all performance code that must
  * not move physics.  Every test here pins them to the dense 2^n x 2^n
  * reference of dense_oracle.h on randomized states, within 1e-10,
- * across register sizes that cover both the serial (n < 8) and the
- * pool-split (n >= 8) density-matrix kernels and the idle-qubit split
- * of both registers (state vector n >= 9, density matrix n >= 5).
- * The split is also pinned bit for bit across thread counts, and its
- * density-matrix block kernels bit for bit to the whole-register
- * ones.  Runs under ASan and TSan in CI (label unit-service), so the
- * shared-pool splits are raced deliberately.
+ * across register sizes up to an 8-qubit density matrix and across
+ * the idle-qubit split of both registers (state vector n >= 9,
+ * density matrix n >= 5).  The split — the simulator's one level of
+ * parallelism — is also pinned bit for bit across thread counts, and
+ * its density-matrix block kernels and whole runs bit for bit to the
+ * whole register.  Runs under ASan and TSan in CI (label
+ * unit-service), so the shared-pool split is raced deliberately.
  */
 
 #include <algorithm>
@@ -372,12 +372,10 @@ TEST(KernelEquivalence, DecoherentSimulatorGoldenFidelity)
     EXPECT_LT(sq.trace().real(), 1.0 - 1e-4);
 }
 
-TEST(KernelEquivalence, PoolSplitKernelsMatchAtEightQubits)
+TEST(KernelEquivalence, FusedKernelsMatchDenseOracleAtEightQubits)
 {
-    // n = 8 crosses the parallelFor threshold (dim 256): the fused
-    // kernels split across the shared pool.  Agreement here plus the
-    // TSan CI leg checks both correctness and data-race freedom of
-    // the block partitioning.
+    // The largest register (dim 256) at which the fused 1Q, 2Q and
+    // Kraus kernels are pinned to the dense oracle one by one.
     Rng rng(17);
     const int n = 8;
     const CMatrix u2 = randomUnitary(rng, 2);
@@ -641,9 +639,8 @@ entries(const StateVector &psi)
 /**
  * Runs @p sched from @p reg0 once from the top level, where split
  * layers fan their parts out across the pool, and twice from inside a
- * parallelFor() block, where the nested fan-out (and a density
- * matrix's own kernel pool split) runs inline, one part after another
- * on one thread.  Expects the three results to agree to the bit and
+ * parallelFor() block, where the nested fan-out runs inline, one
+ * part after another on one thread.  Expects the three results to agree to the bit and
  * returns the pooled one.
  */
 template <class Reg>
@@ -873,13 +870,9 @@ TEST(KernelEquivalence, DensityIdleQubitSplitIsBitIdenticalToWholeRegister)
 {
     // The split reorders nothing: every entry sees the kernels of the
     // whole-register loop in the same order, including the Kraus
-    // steps of split qubits that sit between busy ones, so below 8
-    // qubits the split run and the whole-register replay agree to the
-    // bit.  From 8 qubits the whole register's 1Q kernel runs the
-    // copy of its loop that the pool calls, which the compiler
-    // vectorizes, and so rounds, differently from the inlined copy the
-    // blocks run (docs/performance.md); there the two agree to
-    // rounding.
+    // steps of split qubits that sit between busy ones, so the split
+    // run and the whole-register replay agree to the bit at every
+    // size, 8 qubits included.
     const auto lib = pulse::PulseLibrary::gaussian();
     for (const graph::Topology &topo : densitySplitTopologies()) {
         const int n = topo.g.numVertices();
@@ -901,11 +894,7 @@ TEST(KernelEquivalence, DensityIdleQubitSplitIsBitIdenticalToWholeRegister)
                 sim.run(sched, split);
                 replayWholeRegister(sched, dev, lib, opt.dt, decoherent,
                                     whole);
-                if (n < 8)
-                    EXPECT_TRUE(sameBits(split, whole));
-                else
-                    EXPECT_LE(maxAbsDiff(split.matrix(), whole.matrix()),
-                              1e-15);
+                EXPECT_TRUE(sameBits(split, whole));
             }
         }
     }
