@@ -7,7 +7,6 @@
 
 #include "common/suppression_invariants.h"
 #include "common/units.h"
-#include "core/compiler.h"
 #include "graph/topologies.h"
 
 namespace qzz::core {

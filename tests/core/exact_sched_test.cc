@@ -6,7 +6,7 @@
 
 #include "common/suppression_invariants.h"
 #include "common/units.h"
-#include "core/compiler.h"
+#include "core/sched_walk.h"
 #include "graph/topologies.h"
 
 namespace qzz::core {
