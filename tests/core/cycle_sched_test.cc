@@ -149,5 +149,26 @@ TEST(CycleSchedTest, SchedulesAreValidAndMeetR)
         s, dev, resolveZzxOptions({}, dev), "cycle trigrid");
 }
 
+TEST(CycleSchedTest, SchedulerClassRoundTripsThroughFactory)
+{
+    EXPECT_EQ(schedPolicyName(SchedPolicy::CycleAware), "CycleAware");
+    EXPECT_EQ(schedPolicyFromName("CycleAware"),
+              SchedPolicy::CycleAware);
+    EXPECT_EQ(schedPolicyFromName("cycle"), SchedPolicy::CycleAware);
+
+    // Scheduling through per-device tables built once (as the
+    // Compiler does) matches the call that builds its own.
+    const dev::Device dev = uniformDevice(graph::ringTopology(5));
+    const ckt::QuantumCircuit c = sxRounds(5, 4);
+    const CutTables tables(dev, SchedPolicy::CycleAware);
+    const Schedule via_tables = schedule(SchedPolicy::CycleAware, c, dev,
+                                         GateDurations{}, {}, &tables);
+    const Schedule direct =
+        schedule(SchedPolicy::CycleAware, c, dev, GateDurations{});
+    ASSERT_EQ(via_tables.layers.size(), direct.layers.size());
+    for (size_t i = 0; i < via_tables.layers.size(); ++i)
+        EXPECT_EQ(via_tables.layers[i].side, direct.layers[i].side);
+}
+
 } // namespace
 } // namespace qzz::core

@@ -187,5 +187,28 @@ TEST(ExactSchedTest, ExactScheduleIsValidAndMeetsR)
         s, dev, resolveZzxOptions({}, dev), "exact trigrid");
 }
 
+TEST(ExactSchedTest, SchedulerClassRoundTripsThroughFactory)
+{
+    EXPECT_EQ(schedPolicyName(SchedPolicy::Exact), "ExactSched");
+    EXPECT_EQ(schedPolicyFromName("ExactSched"), SchedPolicy::Exact);
+    EXPECT_EQ(schedPolicyFromName("exact"), SchedPolicy::Exact);
+
+    // Scheduling through per-device tables built once (as the
+    // Compiler does) matches the call that builds its own.
+    const dev::Device dev = uniformDevice(graph::gridTopology(2, 3));
+    ckt::QuantumCircuit c(6);
+    for (int q = 0; q < 6; ++q)
+        c.sx(q);
+    c.rzx(0, 1, kPi / 2.0);
+    const CutTables tables(dev, SchedPolicy::Exact);
+    const Schedule via_tables = schedule(SchedPolicy::Exact, c, dev,
+                                         GateDurations{}, {}, &tables);
+    const Schedule direct = schedule(SchedPolicy::Exact, c, dev,
+                                     GateDurations{});
+    ASSERT_EQ(via_tables.layers.size(), direct.layers.size());
+    for (size_t i = 0; i < via_tables.layers.size(); ++i)
+        EXPECT_EQ(via_tables.layers[i].side, direct.layers[i].side);
+}
+
 } // namespace
 } // namespace qzz::core
