@@ -7,6 +7,7 @@
  * codegen.
  */
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -68,23 +69,30 @@ StateVector::apply2Q(const la::Mat4 &u, int q_hi, int q_lo)
     require(q_hi != q_lo, "apply2Q: distinct qubits required");
     const size_t s_hi = size_t(1) << bitPos(q_hi);
     const size_t s_lo = size_t(1) << bitPos(q_lo);
+    const size_t s_min = std::min(s_hi, s_lo);
+    const size_t s_max = std::max(s_hi, s_lo);
     const size_t dim = amps_.size();
     cplx *amps = amps_.data();
-    for (size_t k = 0; k < dim; ++k) {
-        if ((k & s_hi) || (k & s_lo))
-            continue; // enumerate each 4-tuple once from its 00 member
-        const size_t i00 = k;
-        const size_t i01 = k | s_lo;
-        const size_t i10 = k | s_hi;
-        const size_t i11 = k | s_hi | s_lo;
-        const cplx a[4] = {amps[i00], amps[i01], amps[i10], amps[i11]};
-        const size_t idx[4] = {i00, i01, i10, i11};
-        for (int r = 0; r < 4; ++r) {
-            cplx acc = cmul(u[r * 4 + 0], a[0]);
-            acc += cmul(u[r * 4 + 1], a[1]);
-            acc += cmul(u[r * 4 + 2], a[2]);
-            acc += cmul(u[r * 4 + 3], a[3]);
-            amps[idx[r]] = acc;
+    // Visit each 4-tuple once from its 00 member: blocks of 2*s_max,
+    // then runs of 2*s_min inside them, then the contiguous s_min
+    // indices with both bits clear.
+    for (size_t hi = 0; hi < dim; hi += 2 * s_max) {
+        for (size_t mid = hi; mid < hi + s_max; mid += 2 * s_min) {
+            for (size_t i00 = mid; i00 < mid + s_min; ++i00) {
+                const size_t i01 = i00 | s_lo;
+                const size_t i10 = i00 | s_hi;
+                const size_t i11 = i00 | s_hi | s_lo;
+                const cplx a[4] = {amps[i00], amps[i01], amps[i10],
+                                   amps[i11]};
+                const size_t idx[4] = {i00, i01, i10, i11};
+                for (int r = 0; r < 4; ++r) {
+                    cplx acc = cmul(u[r * 4 + 0], a[0]);
+                    acc += cmul(u[r * 4 + 1], a[1]);
+                    acc += cmul(u[r * 4 + 2], a[2]);
+                    acc += cmul(u[r * 4 + 3], a[3]);
+                    amps[idx[r]] = acc;
+                }
+            }
         }
     }
 }
