@@ -35,20 +35,6 @@ DensityMatrix::fromPure(const StateVector &psi)
 }
 
 void
-DensityMatrix::apply1Q(const CMatrix &u, int q)
-{
-    require(u.rows() == 2 && u.cols() == 2, "apply1Q: need 2x2");
-    apply1Q(la::toMat2(u), q);
-}
-
-void
-DensityMatrix::apply2Q(const CMatrix &u, int q_hi, int q_lo)
-{
-    require(u.rows() == 4 && u.cols() == 4, "apply2Q: need 4x4");
-    apply2Q(la::toMat4(u), q_hi, q_lo);
-}
-
-void
 DensityMatrix::applyRz(int q, double theta)
 {
     require(q >= 0 && q < n_, "applyRz: qubit out of range");

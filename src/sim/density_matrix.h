@@ -55,11 +55,9 @@ class DensityMatrix
 
     /** rho -> U_q rho U_q^dag for a 2x2 U (fused kernel). */
     void apply1Q(const la::Mat2 &u, int q);
-    void apply1Q(const la::CMatrix &u, int q);
 
     /** rho -> U rho U^dag for a 4x4 U on (q_hi, q_lo) (fused). */
     void apply2Q(const la::Mat4 &u, int q_hi, int q_lo);
-    void apply2Q(const la::CMatrix &u, int q_hi, int q_lo);
 
     /** Virtual RZ. */
     void applyRz(int q, double theta);

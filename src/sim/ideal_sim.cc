@@ -13,9 +13,9 @@ applyGateIdeal(const ckt::Gate &g, StateVector &psi)
     }
     const la::CMatrix u = ckt::gateMatrix(g);
     if (g.isTwoQubit())
-        psi.apply2Q(u, g.qubits[0], g.qubits[1]);
+        psi.apply2Q(la::toMat4(u), g.qubits[0], g.qubits[1]);
     else
-        psi.apply1Q(u, g.qubits[0]);
+        psi.apply1Q(la::toMat2(u), g.qubits[0]);
 }
 
 StateVector

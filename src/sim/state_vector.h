@@ -32,15 +32,10 @@ class StateVector
     const la::CVector &amplitudes() const { return amps_; }
 
     /** Apply a 2x2 unitary to qubit @p q. */
-    void apply1Q(const la::CMatrix &u, int q);
-    /** Allocation-free overload for memoized step propagators; same
-     *  arithmetic (and bits) as the CMatrix path. */
     void apply1Q(const la::Mat2 &u, int q);
 
     /** Apply a 4x4 unitary to qubits (@p q_hi, @p q_lo), with q_hi
      *  the most significant factor of the 4x4 matrix. */
-    void apply2Q(const la::CMatrix &u, int q_hi, int q_lo);
-    /** Allocation-free overload for memoized step propagators. */
     void apply2Q(const la::Mat4 &u, int q_hi, int q_lo);
 
     /** Apply exp(-i theta/2 Z) on qubit @p q (virtual RZ). */

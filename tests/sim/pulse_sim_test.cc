@@ -95,8 +95,8 @@ TEST(PulseSimTest, RamseyStyleZzPhaseMatchesTheory)
     auto sched = scheduleOf(c, dev);
     // Prepare |+> on 0 and |1> on 1 by hand.
     StateVector psi(2);
-    psi.apply1Q(ckt::gateMatrix({ckt::GateKind::H, {0}}), 0);
-    psi.apply1Q(ckt::gateMatrix({ckt::GateKind::X, {0}}), 1);
+    psi.apply1Q(la::toMat2(ckt::gateMatrix({ckt::GateKind::H, {0}})), 0);
+    psi.apply1Q(la::toMat2(ckt::gateMatrix({ckt::GateKind::X, {0}})), 1);
 
     PulseSimOptions opt;
     opt.dt = 0.01;
@@ -178,7 +178,7 @@ TEST(PulseSimTest, HeterogeneousT1DecaysPerQubit)
         dev, pulse::PulseLibrary::gaussian(), opt);
     DensityMatrix rho(2);
     for (int q = 0; q < 2; ++q)
-        rho.apply1Q(ckt::gateMatrix({ckt::GateKind::X, {0}}), q);
+        rho.apply1Q(la::toMat2(ckt::gateMatrix({ckt::GateKind::X, {0}})), q);
     sim.run(sched, rho);
     // Identity = Rx(2 pi) returns each qubit to |1> up to phase, but
     // qubit 0 decohered along the way.
