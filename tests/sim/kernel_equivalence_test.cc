@@ -9,7 +9,9 @@
  * reference of dense_oracle.h on randomized states, within 1e-10,
  * across register sizes up to an 8-qubit density matrix and across
  * the idle-qubit split of both registers (state vector n >= 9,
- * density matrix n >= 5).  The split — the simulator's one level of
+ * density matrix n >= 5).  The state-vector kernels' index
+ * enumeration is also checked exactly, with permutation matrices, at
+ * every size up to 12 qubits.  The split — the simulator's one level of
  * parallelism — is also pinned bit for bit across thread counts, and
  * its density-matrix block kernels and whole runs bit for bit to the
  * whole register.  Runs under ASan and TSan in CI (label
@@ -179,6 +181,73 @@ TEST(KernelEquivalence, Fused2QMatchesDenseOracleAcrossPairs)
                     << "n=" << n << " pair=(" << qa << "," << qb << ")";
             }
     }
+}
+
+/** A register whose amplitude k is the exact value (k + 1) - k i. */
+StateVector
+indexedState(int n)
+{
+    StateVector psi(n);
+    la::CVector &a = psi.amplitudes();
+    for (size_t k = 0; k < a.size(); ++k)
+        a[k] = cplx{double(k + 1), -double(k)};
+    return psi;
+}
+
+// Permutation matrices keep the arithmetic exact (products with 0 and
+// 1, sums with 0) under any codegen, so the kernels' index
+// enumeration is checked with ==: a skipped, doubled or misplaced
+// pair or quadruple cannot hide under a rounding tolerance.  Every
+// size up to the paper's 12 qubits, so the stride-1 and s_min == 1
+// loops and s_max == dim/2 are all covered.
+
+TEST(KernelEquivalence, Apply1QPermutesEveryAmplitudeExactly)
+{
+    const la::Mat2 x = {cplx{0.0}, cplx{1.0}, cplx{1.0}, cplx{0.0}};
+    for (int n = 1; n <= 12; ++n)
+        for (int q = 0; q < n; ++q) {
+            StateVector psi = indexedState(n);
+            const la::CVector before = psi.amplitudes();
+            psi.apply1Q(x, q);
+            const size_t bit = size_t(1) << (n - 1 - q);
+            la::CVector want(before.size());
+            for (size_t k = 0; k < want.size(); ++k)
+                want[k] = before[k ^ bit];
+            EXPECT_TRUE(psi.amplitudes() == want) << "n=" << n << " q=" << q;
+        }
+}
+
+TEST(KernelEquivalence, Apply2QPermutesEveryAmplitudeExactly)
+{
+    // The 4-cycle |00> -> |01> -> |10> -> |11> -> |00> on (q_hi, q_lo):
+    // local basis state r receives the amplitude of (r + 3) mod 4.  It
+    // is not symmetric under swapping the qubits or transposing.
+    la::Mat4 cycle{};
+    for (int r = 0; r < 4; ++r)
+        cycle[size_t(r * 4 + (r + 3) % 4)] = 1.0;
+    for (int n = 2; n <= 12; ++n)
+        for (int qa = 0; qa < n; ++qa)
+            for (int qb = 0; qb < n; ++qb) {
+                if (qa == qb)
+                    continue;
+                StateVector psi = indexedState(n);
+                const la::CVector before = psi.amplitudes();
+                psi.apply2Q(cycle, qa, qb);
+                const size_t bit_hi = size_t(1) << (n - 1 - qa);
+                const size_t bit_lo = size_t(1) << (n - 1 - qb);
+                la::CVector want(before.size());
+                for (size_t k = 0; k < want.size(); ++k) {
+                    const int r =
+                        ((k & bit_hi) ? 2 : 0) + ((k & bit_lo) ? 1 : 0);
+                    const int src = (r + 3) % 4;
+                    const size_t from = (k & ~(bit_hi | bit_lo)) |
+                                        ((src & 2) ? bit_hi : 0) |
+                                        ((src & 1) ? bit_lo : 0);
+                    want[k] = before[from];
+                }
+                EXPECT_TRUE(psi.amplitudes() == want)
+                    << "n=" << n << " pair=(" << qa << "," << qb << ")";
+            }
 }
 
 TEST(KernelEquivalence, FusedDecoherenceMatchesSequentialChannels)
