@@ -13,17 +13,19 @@ QuantumCircuit::QuantumCircuit(int num_qubits, std::string name)
 void
 QuantumCircuit::add(Gate g)
 {
-    require(int(g.qubits.size()) == gateArity(g.kind),
-            "QuantumCircuit::add: wrong operand count for " +
-                gateKindName(g.kind));
+    // Messages are formatted on failure only: add() runs once per
+    // gate in every compile pass.
+    if (int(g.qubits.size()) != gateArity(g.kind))
+        fatal("QuantumCircuit::add: wrong operand count for " +
+              gateKindName(g.kind));
     for (size_t i = 0; i < g.qubits.size(); ++i) {
-        require(g.qubits[i] >= 0 && g.qubits[i] < num_qubits_,
-                "QuantumCircuit::add: qubit out of range in " +
-                    g.toString());
+        if (g.qubits[i] < 0 || g.qubits[i] >= num_qubits_)
+            fatal("QuantumCircuit::add: qubit out of range in " +
+                  g.toString());
         for (size_t j = i + 1; j < g.qubits.size(); ++j)
-            require(g.qubits[i] != g.qubits[j],
-                    "QuantumCircuit::add: duplicate operand in " +
-                        g.toString());
+            if (g.qubits[i] == g.qubits[j])
+                fatal("QuantumCircuit::add: duplicate operand in " +
+                      g.toString());
     }
     gates_.push_back(std::move(g));
 }

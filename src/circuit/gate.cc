@@ -150,8 +150,8 @@ CMatrix
 gateMatrix(const Gate &g)
 {
     auto p = [&](size_t i) {
-        require(i < g.params.size(),
-                "gateMatrix: missing parameter for " + g.toString());
+        if (i >= g.params.size())
+            fatal("gateMatrix: missing parameter for " + g.toString());
         return g.params[i];
     };
     switch (g.kind) {
