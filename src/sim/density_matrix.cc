@@ -1,9 +1,7 @@
-// The fused hot-path kernels (apply1Q/apply2Q/applyPhaseVector/
+// The hot-path kernels (apply1Q/apply2Q/applyPhaseVector/
 // applyDecoherence/applyDecoherenceAcross) live in
-// density_matrix_kernels.cc, the only translation unit the build
-// compiles with the vector ISA; this file keeps the constructors, the
-// single-qubit channels and RZ, and the observables at baseline
-// codegen.
+// density_matrix_kernels.cc, built with the vector ISA; this file keeps
+// the constructors, the single-qubit channels, RZ and the observables.
 
 #include "sim/density_matrix.h"
 

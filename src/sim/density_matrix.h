@@ -7,13 +7,10 @@
  * relaxation (T1) and dephasing (T2) enter as exact per-step Kraus
  * channels on each qubit.
  *
- * Hot-path kernels (apply1Q / apply2Q / applyPhaseVector /
- * applyDecoherence) are fused: conjugation U rho U^dag decomposes
- * into independent 2x2 (4x4) blocks mixing row pair (r0, r1) with
- * column pair (c0, c1), so one cache-blocked sweep applies the left
- * and the right factor together, in registers, with zero heap
- * allocation — instead of two full passes over the matrix.  Every
- * kernel is one sequential loop.
+ * The gate kernels run U rho U^dag as a row pass of U and a column
+ * pass of conj(U) over the d^2 entries, on the state vector's index
+ * walk (sim/stride_walk.h); one qubit's Kraus step is one pass.  No
+ * kernel allocates or runs on the pool.
  *
  * The schedule simulator (sim/pulse_sim.h) splits registers of 5 or
  * more qubits on the idle qubits of each layer into blocks that are
@@ -53,10 +50,10 @@ class DensityMatrix
     la::CMatrix &matrix() { return rho_; }
     const la::CMatrix &matrix() const { return rho_; }
 
-    /** rho -> U_q rho U_q^dag for a 2x2 U (fused kernel). */
+    /** rho -> U_q rho U_q^dag for a 2x2 U. */
     void apply1Q(const la::Mat2 &u, int q);
 
-    /** rho -> U rho U^dag for a 4x4 U on (q_hi, q_lo) (fused). */
+    /** rho -> U rho U^dag for a 4x4 U on (q_hi, q_lo). */
     void apply2Q(const la::Mat4 &u, int q_hi, int q_lo);
 
     /** Virtual RZ. */

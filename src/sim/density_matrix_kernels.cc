@@ -1,22 +1,24 @@
 /**
  * @file
- * The fused density-matrix hot-path kernels, in their own
- * translation unit so the build can hand just these loops the vector ISA
- * (QZZ_VECTOR_KERNELS): only the per-step sweeps of the Strang
- * integrator gain from it, and the rest of the library keeps baseline
- * codegen.  The block kernels of the idle-qubit split (the two-table
- * phase, applyDecoherenceAcross) live here too: they must round
- * exactly like the whole-register sweeps.  Every kernel is one
- * sequential loop, and the file is built without FMA contraction, so
- * a loop's vectorized body and its scalar path round alike: a split
- * block, whose strides differ from the whole register's, gets the
- * same bits whichever path the compiler gives each entry.
+ * The density-matrix hot-path kernels, in their own translation unit
+ * so the build can hand just these loops the vector ISA
+ * (QZZ_VECTOR_KERNELS).  The gates and the Kraus step run on the state
+ * vector's index walk (stride_walk.h).  The block kernels of the
+ * idle-qubit split (the two-table phase, applyDecoherenceAcross) live
+ * here too, built with the same flags as the whole-register sweeps.
+ *
+ * -ffp-contract=off (src/CMakeLists.txt) does not make a loop's vector
+ * body and its scalar path round alike: GCC's vectorizer still emits
+ * vfmaddsub for its complex-multiply patterns.  A split block gets the
+ * whole register's bits because each entry takes the same code path in
+ * both; the split-block tests of kernel_equivalence_test.cc pin that.
  */
 
 #include <cmath>
 
 #include "common/error.h"
 #include "sim/density_matrix.h"
+#include "sim/stride_walk.h"
 
 namespace qzz::sim {
 
@@ -24,38 +26,69 @@ using la::cplx;
 
 namespace {
 
-// --- fused-kernel helpers --------------------------------------------
-//
-// The kernels below avoid std::complex operator* on purpose: libstdc++
-// lowers it through _Complex multiplication, whose NaN-recovery branch
-// (__muldc3) blocks auto-vectorization.  cmul() is the finite-input
-// fast path of that multiply — identical bits for the values a density
-// matrix can hold — written so the compiler can keep everything in
-// vector registers.
-
-inline cplx
-cmul(cplx a, cplx b)
+/** Mix one 4-tuple (*p00, *p01, *p10, *p11) of the 2Q passes in
+ *  place: member i becomes 0 + sum over k ascending of m[i*4+k] times
+ *  member k, with the factors in the order @p kRight gives: m first
+ *  on the row pass, the member first on the column pass.  Written out,
+ *  as the state vector's mix4 is, so the loops that call it vectorize. */
+template <bool kRight>
+inline void
+mix4(const la::Mat4 &m, cplx *p00, cplx *p01, cplx *p10, cplx *p11)
 {
-    return {a.real() * b.real() - a.imag() * b.imag(),
-            a.real() * b.imag() + a.imag() * b.real()};
+    const cplx a0 = *p00, a1 = *p01, a2 = *p10, a3 = *p11;
+    const auto mul = [&m](int i, cplx a) {
+        return kRight ? cmul(a, m[size_t(i)]) : cmul(m[size_t(i)], a);
+    };
+    cplx acc0{0.0, 0.0}, acc1{0.0, 0.0}, acc2{0.0, 0.0}, acc3{0.0, 0.0};
+    acc0 += mul(0, a0);
+    acc0 += mul(1, a1);
+    acc0 += mul(2, a2);
+    acc0 += mul(3, a3);
+    acc1 += mul(4, a0);
+    acc1 += mul(5, a1);
+    acc1 += mul(6, a2);
+    acc1 += mul(7, a3);
+    acc2 += mul(8, a0);
+    acc2 += mul(9, a1);
+    acc2 += mul(10, a2);
+    acc2 += mul(11, a3);
+    acc3 += mul(12, a0);
+    acc3 += mul(13, a1);
+    acc3 += mul(14, a2);
+    acc3 += mul(15, a3);
+    *p00 = acc0;
+    *p01 = acc1;
+    *p10 = acc2;
+    *p11 = acc3;
 }
 
-/** a * b + c * d, the row/column mixing primitive of the kernels. */
-inline cplx
-cmul2(cplx a, cplx b, cplx c, cplx d)
+/** One qubit's Kraus step on the 2x2 blocks (b00, b01, b10, b11) of
+ *  rho in its row and column bits: damping, then dephasing, each
+ *  compiled in or out. */
+template <bool kDamp, bool kDeph>
+void
+decohere(cplx *m, size_t d, size_t s, double g, double kp)
 {
-    return {a.real() * b.real() - a.imag() * b.imag() +
-                c.real() * d.real() - c.imag() * d.imag(),
-            a.real() * b.imag() + a.imag() * b.real() +
-                c.real() * d.imag() + c.imag() * d.real()};
-}
-
-/** Insert a zero bit at the position of one-bit @p mask: maps a
- *  compact index onto the sub-lattice with that bit clear. */
-inline size_t
-expandBit(size_t j, size_t mask)
-{
-    return ((j & ~(mask - 1)) << 1) | (j & (mask - 1));
+    const double sq = std::sqrt(1.0 - g);
+    const double om = 1.0 - g;
+    forQuads(m, d * d, s * d, s,
+             [=](cplx &p00, cplx &p01, cplx &p10, cplx &p11) {
+                 cplx b00 = p00, b01 = p01, b10 = p10, b11 = p11;
+                 if constexpr (kDamp) {
+                     b00 += g * b11;
+                     b01 *= sq;
+                     b10 *= sq;
+                     b11 *= om;
+                 }
+                 if constexpr (kDeph) {
+                     b01 *= kp;
+                     b10 *= kp;
+                 }
+                 p00 = b00;
+                 p01 = b01;
+                 p10 = b10;
+                 p11 = b11;
+             });
 }
 
 } // namespace
@@ -64,38 +97,22 @@ void
 DensityMatrix::apply1Q(const la::Mat2 &u, int q)
 {
     require(q >= 0 && q < n_, "apply1Q: qubit out of range");
-    const size_t stride = size_t(1) << bitPos(q);
+    const size_t s = size_t(1) << bitPos(q);
     const size_t d = dim();
     const cplx u00 = u[0], u01 = u[1], u10 = u[2], u11 = u[3];
     const cplx v00 = std::conj(u00), v01 = std::conj(u01);
     const cplx v10 = std::conj(u10), v11 = std::conj(u11);
     cplx *m = rho_.data();
-
-    // U rho U^dag splits into independent 2x2 blocks over (row pair,
-    // column pair); each block is transformed in registers in one
-    // visit: left factor first (rows mix), then the right factor
-    // (columns mix) — the same arithmetic as a left pass followed by
-    // a right pass, in the same order, with half the memory traffic.
-    for (size_t j = 0; j < d / 2; ++j) {
-        const size_t r0 = expandBit(j, stride);
-        cplx *row0 = m + r0 * d;
-        cplx *row1 = row0 + stride * d;
-        for (size_t base = 0; base < d; base += 2 * stride) {
-            for (size_t off = 0; off < stride; ++off) {
-                const size_t c0 = base + off, c1 = c0 + stride;
-                const cplx a00 = row0[c0], a01 = row0[c1];
-                const cplx a10 = row1[c0], a11 = row1[c1];
-                const cplx t00 = cmul2(u00, a00, u01, a10);
-                const cplx t01 = cmul2(u00, a01, u01, a11);
-                const cplx t10 = cmul2(u10, a00, u11, a10);
-                const cplx t11 = cmul2(u10, a01, u11, a11);
-                row0[c0] = cmul2(t00, v00, t01, v01);
-                row0[c1] = cmul2(t00, v10, t01, v11);
-                row1[c0] = cmul2(t10, v00, t11, v01);
-                row1[c1] = cmul2(t10, v10, t11, v11);
-            }
-        }
-    }
+    forPairs(m, d * d, s * d, [=](cplx &p0, cplx &p1) {
+        const cplx a0 = p0, a1 = p1;
+        p0 = cmul2(u00, a0, u01, a1);
+        p1 = cmul2(u10, a0, u11, a1);
+    });
+    forPairs(m, d * d, s, [=](cplx &p0, cplx &p1) {
+        const cplx t0 = p0, t1 = p1;
+        p0 = cmul2(t0, v00, t1, v01);
+        p1 = cmul2(t0, v10, t1, v11);
+    });
 }
 
 void
@@ -107,51 +124,20 @@ DensityMatrix::apply2Q(const la::Mat4 &u, int q_hi, int q_lo)
     const size_t s_hi = size_t(1) << bitPos(q_hi);
     const size_t s_lo = size_t(1) << bitPos(q_lo);
     const size_t d = dim();
-    const size_t s_min = std::min(s_hi, s_lo);
-    const size_t s_max = std::max(s_hi, s_lo);
-    cplx v[16]; // conj(u), indexed (j, k) for the right factor
-    for (int i = 0; i < 16; ++i)
-        v[i] = std::conj(u[size_t(i)]);
-    cplx *mm = rho_.data();
-
-    // 4x4 blocks over (row quad, column quad), transformed in
-    // registers in one visit, accumulating k-ascending.
-    for (size_t jr = 0; jr < d / 4; ++jr) {
-        const size_t kr =
-            expandBit(expandBit(jr, s_min), s_max);
-        cplx *rows[4];
-        for (int i = 0; i < 4; ++i) {
-            const size_t r = kr | ((i & 2) ? s_hi : 0) |
-                             ((i & 1) ? s_lo : 0);
-            rows[i] = mm + r * d;
-        }
-        for (size_t jc = 0; jc < d / 4; ++jc) {
-            const size_t kc =
-                expandBit(expandBit(jc, s_min), s_max);
-            size_t cols[4];
-            for (int jj = 0; jj < 4; ++jj)
-                cols[jj] = kc | ((jj & 2) ? s_hi : 0) |
-                           ((jj & 1) ? s_lo : 0);
-            cplx a[4][4], t[4][4];
-            for (int i = 0; i < 4; ++i)
-                for (int jj = 0; jj < 4; ++jj)
-                    a[i][jj] = rows[i][cols[jj]];
-            for (int i = 0; i < 4; ++i)
-                for (int jj = 0; jj < 4; ++jj) {
-                    cplx acc{0.0, 0.0};
-                    for (int k = 0; k < 4; ++k)
-                        acc += cmul(u[size_t(i * 4 + k)], a[k][jj]);
-                    t[i][jj] = acc;
-                }
-            for (int i = 0; i < 4; ++i)
-                for (int jj = 0; jj < 4; ++jj) {
-                    cplx acc{0.0, 0.0};
-                    for (int k = 0; k < 4; ++k)
-                        acc += cmul(t[i][k], v[jj * 4 + k]);
-                    rows[i][cols[jj]] = acc;
-                }
-        }
-    }
+    la::Mat4 v; // conj(u), indexed (j, k) for the column pass
+    for (size_t i = 0; i < 16; ++i)
+        v[i] = std::conj(u[i]);
+    cplx *m = rho_.data();
+    // Both matrices are captured by copy: stores to rho cannot alias
+    // them, so the walk keeps them in registers.
+    forQuads(m, d * d, s_hi * d, s_lo * d,
+             [w = u](cplx &p00, cplx &p01, cplx &p10, cplx &p11) {
+                 mix4<false>(w, &p00, &p01, &p10, &p11);
+             });
+    forQuads(m, d * d, s_hi, s_lo,
+             [v](cplx &p00, cplx &p01, cplx &p10, cplx &p11) {
+                 mix4<true>(v, &p00, &p01, &p10, &p11);
+             });
 }
 
 void
@@ -194,48 +180,18 @@ void
 DensityMatrix::applyDecoherence(int q, double g, double kp)
 {
     require(q >= 0 && q < n_, "applyDecoherence: qubit out of range");
-    const bool damp = g > 0.0;
-    const bool deph = kp < 1.0;
-    if (!damp && !deph)
-        return;
-    const double sq = std::sqrt(1.0 - g);
-    const double om = 1.0 - g;
-    const size_t stride = size_t(1) << bitPos(q);
-    const size_t d = dim();
-    cplx *m = rho_.data();
-
-    // One sweep fuses the amplitude-damping update
-    // (applyAmplitudeDamping's two passes) with the dephasing scale:
-    // each 2x2 block over (row pair, column pair) in the qubit's bit
-    // is independent, with the same per-element arithmetic as the
+    // Damping and dephasing fused into one pass over rho: each 2x2
+    // block over (row pair, column pair) in the qubit's bit is a
+    // quadruple of the walk, with the per-entry arithmetic of the
     // sequential channels.
-    for (size_t j = 0; j < d / 2; ++j) {
-        const size_t r0 = expandBit(j, stride);
-        cplx *row0 = m + r0 * d;
-        cplx *row1 = row0 + stride * d;
-        for (size_t base = 0; base < d; base += 2 * stride) {
-            for (size_t off = 0; off < stride; ++off) {
-                const size_t c0 = base + off;
-                const size_t c1 = c0 + stride;
-                cplx b00 = row0[c0], b01 = row0[c1];
-                cplx b10 = row1[c0], b11 = row1[c1];
-                if (damp) {
-                    b00 += g * b11;
-                    b01 *= sq;
-                    b10 *= sq;
-                    b11 *= om;
-                }
-                if (deph) {
-                    b01 *= kp;
-                    b10 *= kp;
-                }
-                row0[c0] = b00;
-                row0[c1] = b01;
-                row1[c0] = b10;
-                row1[c1] = b11;
-            }
-        }
-    }
+    const size_t s = size_t(1) << bitPos(q);
+    cplx *m = rho_.data();
+    if (g > 0.0 && kp < 1.0)
+        decohere<true, true>(m, dim(), s, g, kp);
+    else if (g > 0.0)
+        decohere<true, false>(m, dim(), s, g, kp);
+    else if (kp < 1.0)
+        decohere<false, true>(m, dim(), s, g, kp);
 }
 
 void

@@ -9,9 +9,9 @@
  * reference of dense_oracle.h on randomized states, within 1e-10,
  * across register sizes up to an 8-qubit density matrix and across
  * the idle-qubit split of both registers (state vector n >= 9,
- * density matrix n >= 5).  The state-vector kernels' index
- * enumeration is also checked exactly, with permutation matrices, at
- * every size up to 12 qubits.  The split — the simulator's one level of
+ * density matrix n >= 5).  The kernels' index enumeration is also
+ * checked exactly, with permutation matrices, at every size up to 12
+ * qubits for the state vector and up to 7 for the density matrix.  The split — the simulator's one level of
  * parallelism — is also pinned bit for bit across thread counts, and
  * its density-matrix block kernels and whole runs bit for bit to the
  * whole register.  Runs under ASan and TSan in CI (label
@@ -250,6 +250,89 @@ TEST(KernelEquivalence, Apply2QPermutesEveryAmplitudeExactly)
             }
 }
 
+std::span<const cplx>
+entries(const DensityMatrix &rho)
+{
+    return {rho.matrix().data(), rho.dim() * rho.dim()};
+}
+
+bool
+sameBits(const DensityMatrix &a, const DensityMatrix &b)
+{
+    return std::ranges::equal(entries(a), entries(b));
+}
+
+/** A density matrix whose entry (r, c) is the exact value (k + 1) - k i,
+ *  k = r * 2^n + c. */
+DensityMatrix
+indexedDensity(int n)
+{
+    DensityMatrix rho(n);
+    for (size_t r = 0; r < rho.dim(); ++r)
+        for (size_t c = 0; c < rho.dim(); ++c) {
+            const size_t k = r * rho.dim() + c;
+            rho.matrix()(r, c) = cplx{double(k + 1), -double(k)};
+        }
+    return rho;
+}
+
+/** P rho P^T for the permutation P that sends basis state src(k) to k. */
+DensityMatrix
+permuted(const DensityMatrix &rho, const std::function<size_t(size_t)> &src)
+{
+    DensityMatrix out(rho.numQubits());
+    for (size_t r = 0; r < rho.dim(); ++r)
+        for (size_t c = 0; c < rho.dim(); ++c)
+            out.matrix()(r, c) = rho.matrix()(src(r), src(c));
+    return out;
+}
+
+// The same exact check for the density matrix's row and column passes,
+// which walk a register of 2n qubits: every branch of the stride-1 and
+// s_min == 1 loops on both passes, up to 7 qubits (16384 entries).
+
+TEST(KernelEquivalence, DensityApply1QPermutesEveryEntryExactly)
+{
+    const la::Mat2 x = {cplx{0.0}, cplx{1.0}, cplx{1.0}, cplx{0.0}};
+    for (int n = 1; n <= 7; ++n)
+        for (int q = 0; q < n; ++q) {
+            DensityMatrix rho = indexedDensity(n);
+            const DensityMatrix want = permuted(rho, [&](size_t k) {
+                return k ^ (size_t(1) << (n - 1 - q));
+            });
+            rho.apply1Q(x, q);
+            EXPECT_TRUE(sameBits(rho, want)) << "n=" << n << " q=" << q;
+        }
+}
+
+TEST(KernelEquivalence, DensityApply2QPermutesEveryEntryExactly)
+{
+    // The 4-cycle of Apply2QPermutesEveryAmplitudeExactly.
+    la::Mat4 cycle{};
+    for (int r = 0; r < 4; ++r)
+        cycle[size_t(r * 4 + (r + 3) % 4)] = 1.0;
+    for (int n = 2; n <= 7; ++n)
+        for (int qa = 0; qa < n; ++qa)
+            for (int qb = 0; qb < n; ++qb) {
+                if (qa == qb)
+                    continue;
+                DensityMatrix rho = indexedDensity(n);
+                const size_t bit_hi = size_t(1) << (n - 1 - qa);
+                const size_t bit_lo = size_t(1) << (n - 1 - qb);
+                const DensityMatrix want = permuted(rho, [&](size_t k) {
+                    const int r =
+                        ((k & bit_hi) ? 2 : 0) + ((k & bit_lo) ? 1 : 0);
+                    const int src = (r + 3) % 4;
+                    return (k & ~(bit_hi | bit_lo)) |
+                           ((src & 2) ? bit_hi : 0) |
+                           ((src & 1) ? bit_lo : 0);
+                });
+                rho.apply2Q(cycle, qa, qb);
+                EXPECT_TRUE(sameBits(rho, want))
+                    << "n=" << n << " pair=(" << qa << "," << qb << ")";
+            }
+}
+
 TEST(KernelEquivalence, FusedDecoherenceMatchesSequentialChannels)
 {
     Rng rng(13);
@@ -480,18 +563,6 @@ block(const DensityMatrix &rho, int q, int a, int b)
     return out;
 }
 
-std::span<const cplx>
-entries(const DensityMatrix &rho)
-{
-    return {rho.matrix().data(), rho.dim() * rho.dim()};
-}
-
-bool
-sameBits(const DensityMatrix &a, const DensityMatrix &b)
-{
-    return std::ranges::equal(entries(a), entries(b));
-}
-
 TEST(KernelEquivalence, SplitBlockKernelsMatchWholeRegisterBitForBit)
 {
     // A density matrix split on a qubit runs every kernel on blocks of
@@ -499,12 +570,15 @@ TEST(KernelEquivalence, SplitBlockKernelsMatchWholeRegisterBitForBit)
     // each block, the split qubit's Kraus step across two blocks, and
     // the ZZ phase from separate row and column tables.  Each must
     // give the bits the whole-register kernel gives, for every split
-    // position and every damping/dephasing branch, up to the largest
-    // register below the kernels' own pool split.
+    // position and every damping/dephasing branch, at every size from
+    // the smallest with a 2Q gate beside the split qubit up to the
+    // largest register below the kernels' own pool split.  The blocks
+    // of 2 to 6 qubits run every branch of the walk on both passes
+    // with other strides than the whole register.
     Rng rng(18);
     const CMatrix u2 = randomUnitary(rng, 2);
     const CMatrix u4 = randomUnitary(rng, 4);
-    for (int n : {5, 7}) {
+    for (int n = 3; n <= 7; ++n) {
         std::vector<double> energies(size_t(1) << n);
         for (double &e : energies)
             e = rng.uniform(-5.0, 5.0);
@@ -512,7 +586,9 @@ TEST(KernelEquivalence, SplitBlockKernelsMatchWholeRegisterBitForBit)
         const std::span<const cplx> table(p);
         const size_t half = size_t(1) << (n - 1);
         for (int q = 0; q < n; ++q) {
-            const int other = (q + 2) % n, other2 = (q + n - 1) % n;
+            // Two qubits besides q; at n = 3, q - 1 is q + 2.
+            const int other = (q + 2) % n;
+            const int other2 = n > 3 ? (q + n - 1) % n : (q + 1) % n;
             const auto local = [&](int k) { return k < q ? k : k - 1; };
             for (auto [g, kp] :
                  {std::pair{0.13, 0.91}, std::pair{0.13, 1.0},
