@@ -347,8 +347,9 @@ TEST(ZzxSchedTest, WeightedUsesRateMagnitudes)
                                    GateDurations{}, {}, &tables_neg);
     expectSameSchedule(wpos, wneg);
     for (const Layer &l : wneg.layers)
-        if (!l.is_virtual)
+        if (!l.is_virtual) {
             EXPECT_EQ(l.metrics.unsuppressed_edge[strong_edge], 0);
+        }
 }
 
 TEST(ZzxSchedTest, WeightedRespectsRequirementBounds)
