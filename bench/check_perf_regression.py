@@ -1,36 +1,26 @@
 #!/usr/bin/env python3
-"""Check a change against its baseline for performance regressions.
+"""Check a change against its parent for performance regressions.
 
 Machine portability is the whole design: CI runners differ in clock
 speed, so absolute times are only compared within one host and run.
 
-* perfbench: run the repository benchmark (perfbench/run.py) on the
-  change's checkout and on the parent's, in alternating pairs on the
-  same host, and fail when the change's median of a gated end-to-end
-  metric is worse than the parent's by more than that metric's
-  `bound` in BENCHMARK.json.  Every workload of BENCHMARK.json runs
-  for its run_seconds, PAIRS times on each side.  suite_s is gated;
-  the other end-to-end metrics are printed.  Each checkout builds into
-  its own <checkout>/.bench_build.
+perfbench: run the repository benchmark (perfbench/run.py) on the
+change's checkout and on the parent's, in alternating pairs on the
+same host, and fail when the change's median of a gated end-to-end
+metric is worse than the parent's by more than that metric's `bound`
+in BENCHMARK.json.  Every workload of BENCHMARK.json runs for its
+run_seconds, PAIRS times on each side.  suite_s is gated; the other
+end-to-end metrics are printed.  Each checkout builds into its own
+<checkout>/.bench_build.
 
-* bench_compile_time publishes absolute per-benchmark times.  Those
-  are first normalized by the run's geometric mean, which cancels the
-  host speed factor; a benchmark fails only if its share of the run
-  grew by more than --tolerance relative to the baseline's share --
-  i.e. it got slower relative to its peers, not the machine.
-
-Exit status 0 when nothing regressed, 1 otherwise.  Repin the
-compile-time baseline by copying the fresh JSON over
-bench/baselines/BENCH_compile_time.json.
+Exit status 0 when nothing regressed, 1 otherwise.
 
 Usage:
-  check_perf_regression.py perfbench     <change-dir> <parent-dir>
-  check_perf_regression.py compile_time  <current.json> <baseline.json>
+  check_perf_regression.py perfbench <change-dir> <parent-dir>
 """
 
 import argparse
 import json
-import math
 import os
 import statistics
 import subprocess
@@ -122,66 +112,17 @@ def check_perfbench(change_dir, parent_dir):
     return failures
 
 
-UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
-
-
-def compile_time_shares(doc):
-    times = {}
-    for b in doc.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev) if present.
-        if b.get("run_type") == "aggregate":
-            continue
-        # cpu_time is expressed in the benchmark's own time_unit.
-        times[b["name"]] = (float(b["cpu_time"])
-                            * UNIT_NS[b.get("time_unit", "ns")])
-    if not times:
-        return {}
-    geomean = math.exp(sum(math.log(t) for t in times.values())
-                       / len(times))
-    return {name: t / geomean for name, t in times.items()}
-
-
-def check_compile_time(cur, base, tol):
-    failures = []
-    cur_s, base_s = compile_time_shares(cur), compile_time_shares(base)
-    if not cur_s:
-        return ["current compile-time JSON has no benchmarks"]
-    for name, baseline in sorted(base_s.items()):
-        if name not in cur_s:
-            failures.append(f"{name}: missing from current run")
-            continue
-        current = cur_s[name]
-        ceiling = baseline * (1.0 + tol)
-        status = "ok" if current <= ceiling else "REGRESSED"
-        print(f"  {name:32s} baseline share {baseline:8.4f}  "
-              f"current {current:8.4f}  ceiling {ceiling:8.4f}  {status}")
-        if current > ceiling:
-            failures.append(
-                f"{name}: normalized time {current:.4f} grew more than "
-                f"{tol:.0%} over baseline {baseline:.4f}")
-    return failures
-
-
 def main():
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
-    ap.add_argument("mode", choices=["perfbench", "compile_time"])
-    ap.add_argument("current",
-                    help="change checkout (perfbench) or fresh JSON")
-    ap.add_argument("baseline",
-                    help="parent checkout (perfbench) or baseline JSON")
-    ap.add_argument("--tolerance", type=float, default=0.20,
-                    help="compile_time: allowed relative regression "
-                         "(default 0.20)")
+    ap.add_argument("mode", choices=["perfbench"])
+    ap.add_argument("current", help="change checkout")
+    ap.add_argument("baseline", help="parent checkout")
     args = ap.parse_args()
 
     print(f"== {args.mode}: {args.current} vs {args.baseline} ==",
           flush=True)
-    if args.mode == "perfbench":
-        failures = check_perfbench(args.current, args.baseline)
-    else:
-        failures = check_compile_time(load(args.current),
-                                      load(args.baseline), args.tolerance)
+    failures = check_perfbench(args.current, args.baseline)
 
     if failures:
         print("\nPERF REGRESSION:")
