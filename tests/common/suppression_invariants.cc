@@ -23,8 +23,9 @@ expectValidSchedule(const core::Schedule &schedule,
         for (const core::ScheduledGate &sg : layer.gates) {
             if (!sg.supplemented)
                 ++total;
-            if (layer.is_virtual)
+            if (layer.is_virtual) {
                 EXPECT_TRUE(sg.gate.isVirtual()) << where;
+            }
             if (sg.gate.isVirtual())
                 continue;
             for (int q : sg.gate.qubits) {

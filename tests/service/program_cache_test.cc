@@ -28,7 +28,11 @@ std::shared_ptr<const core::CompiledProgram>
 makeProgram(int tag)
 {
     core::CompiledProgram p;
-    p.native = ckt::QuantumCircuit(1, "p" + std::to_string(tag));
+    // Appending, not "p" + to_string(tag): GCC 12 reports a false
+    // -Wrestrict on the inlined insert of that operator+.
+    std::string name = "p";
+    name += std::to_string(tag);
+    p.native = ckt::QuantumCircuit(1, name);
     p.native.sx(0);
     core::Layer layer;
     layer.duration = double(tag);
