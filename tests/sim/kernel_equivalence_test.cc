@@ -11,7 +11,8 @@
  * the idle-qubit split of both registers (state vector n >= 9,
  * density matrix n >= 5).  The kernels' index enumeration is also
  * checked exactly, with permutation matrices, at every size up to 12
- * qubits for the state vector and up to 7 for the density matrix.  The split — the simulator's one level of
+ * qubits for the state vector and up to 7 for the density matrix.
+ * The split — the simulator's one level of
  * parallelism — is also pinned bit for bit across thread counts, and
  * its density-matrix block kernels and whole runs bit for bit to the
  * whole register.  Runs under ASan and TSan in CI (label
@@ -571,10 +572,9 @@ TEST(KernelEquivalence, SplitBlockKernelsMatchWholeRegisterBitForBit)
     // the ZZ phase from separate row and column tables.  Each must
     // give the bits the whole-register kernel gives, for every split
     // position and every damping/dephasing branch, at every size from
-    // the smallest with a 2Q gate beside the split qubit up to the
-    // largest register below the kernels' own pool split.  The blocks
-    // of 2 to 6 qubits run every branch of the walk on both passes
-    // with other strides than the whole register.
+    // the smallest with a 2Q gate beside the split qubit up to 7
+    // qubits.  The blocks of 2 to 6 qubits run every branch of the
+    // walk on both passes with other strides than the whole register.
     Rng rng(18);
     const CMatrix u2 = randomUnitary(rng, 2);
     const CMatrix u4 = randomUnitary(rng, 4);
