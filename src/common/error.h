@@ -49,29 +49,13 @@ class InternalError : public std::logic_error
  */
 [[noreturn]] void panic(const std::string &msg);
 
-/** Check a user-facing precondition; fatal() with @p msg on failure. */
-inline void
-require(bool cond, const std::string &msg)
-{
-    if (!cond)
-        fatal(msg);
-}
-
-/** Check an internal invariant; panic() with @p msg on failure. */
-inline void
-ensure(bool cond, const std::string &msg)
-{
-    if (!cond)
-        panic(msg);
-}
-
-/** @name Literal-message overloads
- *  Checks called with string literals must not pay a std::string
- *  construction (a heap allocation for any message past the SSO
- *  limit) on the success path — the simulation kernels run a
- *  require() per call, millions of times per schedule.  These
- *  overloads defer the conversion to the failure branch.
- *  @{
+/**
+ * Check a user-facing precondition; fatal() with @p msg on failure.
+ *
+ * The checks take a literal only: the simulation kernels run one per
+ * call, millions of times per schedule, so the success path must not
+ * build a std::string.  A message that needs formatting is built on
+ * the failure branch instead: `if (!cond) fatal(...)`.
  */
 inline void
 require(bool cond, const char *msg)
@@ -80,13 +64,13 @@ require(bool cond, const char *msg)
         fatal(std::string(msg));
 }
 
+/** Check an internal invariant; panic() with @p msg on failure. */
 inline void
 ensure(bool cond, const char *msg)
 {
     if (!cond)
         panic(std::string(msg));
 }
-/** @} */
 
 } // namespace qzz
 

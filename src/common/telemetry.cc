@@ -279,18 +279,17 @@ MetricsRegistry::Family &
 MetricsRegistry::familyFor(const std::string &name, const std::string &help,
                            MetricKind kind)
 {
-    require(validMetricName(name),
-            "MetricsRegistry: invalid metric name \"" + name + "\"");
+    if (!validMetricName(name))
+        fatal("MetricsRegistry: invalid metric name \"" + name + "\"");
     auto it = families_.find(name);
     if (it == families_.end()) {
         Family family;
         family.kind = kind;
         family.help = help;
         it = families_.emplace(name, std::move(family)).first;
-    } else {
-        require(it->second.kind == kind,
-                "MetricsRegistry: \"" + name + "\" already registered as " +
-                    kindName(it->second.kind));
+    } else if (it->second.kind != kind) {
+        fatal("MetricsRegistry: \"" + name + "\" already registered as " +
+              kindName(it->second.kind));
     }
     return it->second;
 }
@@ -332,10 +331,9 @@ MetricsRegistry::histogram(const std::string &name, const std::string &help,
     Family &family = familyFor(name, help, MetricKind::Histogram);
     if (family.bounds.empty())
         family.bounds = buckets.bounds();
-    else
-        require(family.bounds == buckets.bounds(),
-                "MetricsRegistry: \"" + name +
-                    "\" already registered with different buckets");
+    else if (family.bounds != buckets.bounds())
+        fatal("MetricsRegistry: \"" + name +
+              "\" already registered with different buckets");
     Series &series = family.series[labelKey(labels)];
     if (!series.histogram) {
         series.labels = labels;

@@ -49,8 +49,8 @@ clampPhysicality(std::vector<double> &t1, std::vector<double> &t2)
 void
 requireSize(const std::vector<double> &v, size_t n, const char *what)
 {
-    require(v.size() == n, std::string("Calibration: ") + what +
-                               " size mismatch");
+    if (v.size() != n)
+        fatal(std::string("Calibration: ") + what + " size mismatch");
 }
 
 } // namespace

@@ -80,8 +80,8 @@ TraceLog::TraceLog(TraceLogConfig config)
     const auto size = std::filesystem::file_size(config_.path, ec);
     offset_ = ec ? 0 : uint64_t(size);
     out_.open(config_.path, std::ios::app);
-    require(out_.is_open(),
-            "TraceLog: cannot open \"" + config_.path + "\" for append");
+    if (!out_.is_open())
+        fatal("TraceLog: cannot open \"" + config_.path + "\" for append");
 }
 
 void

@@ -158,8 +158,8 @@ SocketTransport::SocketTransport(SocketTransportConfig config)
         require(!path.empty(), "SocketTransport: empty unix socket path");
         sockaddr_un addr{};
         addr.sun_family = AF_UNIX;
-        require(path.size() < sizeof(addr.sun_path),
-                "SocketTransport: unix socket path too long: " + path);
+        if (path.size() >= sizeof(addr.sun_path))
+            fatal("SocketTransport: unix socket path too long: " + path);
         std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
         fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
         if (fd < 0)
@@ -195,13 +195,13 @@ SocketTransport::SocketTransport(SocketTransportConfig config)
                 port = -1;
         } catch (const std::exception &) {
         }
-        require(port >= 0 && port <= 65535,
-                "SocketTransport: bad tcp port in '" + spec + "'");
+        if (port < 0 || port > 65535)
+            fatal("SocketTransport: bad tcp port in '" + spec + "'");
         sockaddr_in addr{};
         addr.sin_family = AF_INET;
         addr.sin_port = htons(uint16_t(port));
-        require(::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1,
-                "SocketTransport: bad tcp host in '" + spec + "'");
+        if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1)
+            fatal("SocketTransport: bad tcp host in '" + spec + "'");
         fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
         if (fd < 0)
             fatal("SocketTransport: socket(): " +

@@ -1,7 +1,5 @@
-// The hot-path kernels (apply1Q/apply2Q/applyPhaseVector/
-// applyDecoherence/applyDecoherenceAcross) live in
-// density_matrix_kernels.cc, built with the vector ISA; this file keeps
-// the constructors, the single-qubit channels, RZ and the observables.
+// The hot-path members run the block kernels of
+// state_vector_kernels.cc on the whole matrix as one block.
 
 #include "sim/density_matrix.h"
 
@@ -33,6 +31,46 @@ DensityMatrix::fromPure(const StateVector &psi)
 }
 
 void
+DensityMatrix::apply1Q(const la::Mat2 &u, int q)
+{
+    require(q >= 0 && q < n_, "apply1Q: qubit out of range");
+    conjugate1Q(entries(), dim(), u, stride(q));
+}
+
+void
+DensityMatrix::apply2Q(const la::Mat4 &u, int q_hi, int q_lo)
+{
+    require(q_hi >= 0 && q_hi < n_ && q_lo >= 0 && q_lo < n_,
+            "apply2Q: qubit out of range");
+    require(q_hi != q_lo, "apply2Q: distinct qubits required");
+    conjugate2Q(entries(), dim(), u, stride(q_hi), stride(q_lo));
+}
+
+void
+DensityMatrix::applyPhaseVector(const la::CVector &p)
+{
+    multiplyPhase(entries(), dim(), p, 0);
+}
+
+void
+DensityMatrix::applyDecoherence(const std::vector<double> &gamma,
+                                const std::vector<double> &keep)
+{
+    require(int(gamma.size()) == n_ && int(keep.size()) == n_,
+            "applyDecoherence: per-qubit rate vectors must have one "
+            "entry per qubit");
+    for (int q = 0; q < n_; ++q)
+        applyDecoherence(q, gamma[size_t(q)], keep[size_t(q)]);
+}
+
+void
+DensityMatrix::applyDecoherence(int q, double gamma, double keep)
+{
+    require(q >= 0 && q < n_, "applyDecoherence: qubit out of range");
+    decohere(entries(), dim(), stride(q), gamma, keep);
+}
+
+void
 DensityMatrix::applyRz(int q, double theta)
 {
     require(q >= 0 && q < n_, "applyRz: qubit out of range");
@@ -53,25 +91,7 @@ DensityMatrix::applyAmplitudeDamping(int q, double gamma)
 {
     require(q >= 0 && q < n_, "applyAmplitudeDamping: qubit out of range");
     require(gamma >= 0.0 && gamma <= 1.0, "applyAmplitudeDamping: gamma");
-    const size_t mask = size_t(1) << bitPos(q);
-    const size_t d = dim();
-    const double keep = std::sqrt(1.0 - gamma);
-    for (size_t r = 0; r < d; ++r) {
-        for (size_t c = 0; c < d; ++c) {
-            const bool rb = r & mask, cb = c & mask;
-            if (rb && cb)
-                continue; // handled via the 00 partner below
-            if (!rb && !cb) {
-                rho_(r, c) += gamma * rho_(r | mask, c | mask);
-            } else {
-                rho_(r, c) *= keep; // one excited index
-            }
-        }
-    }
-    for (size_t r = 0; r < d; ++r)
-        for (size_t c = 0; c < d; ++c)
-            if ((r & mask) && (c & mask))
-                rho_(r, c) *= 1.0 - gamma;
+    decohere(entries(), dim(), stride(q), gamma, 1.0);
 }
 
 void
@@ -79,14 +99,7 @@ DensityMatrix::applyDephasing(int q, double keep)
 {
     require(q >= 0 && q < n_, "applyDephasing: qubit out of range");
     require(keep >= 0.0 && keep <= 1.0, "applyDephasing: keep factor");
-    const size_t mask = size_t(1) << bitPos(q);
-    const size_t d = dim();
-    for (size_t r = 0; r < d; ++r)
-        for (size_t c = 0; c < d; ++c) {
-            const bool rb = r & mask, cb = c & mask;
-            if (rb != cb)
-                rho_(r, c) *= keep;
-        }
+    decohere(entries(), dim(), stride(q), 0.0, keep);
 }
 
 double

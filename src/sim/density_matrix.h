@@ -7,19 +7,17 @@
  * relaxation (T1) and dephasing (T2) enter as exact per-step Kraus
  * channels on each qubit.
  *
- * The gate kernels run U rho U^dag as a row pass of U and a column
- * pass of conj(U) over the d^2 entries, on the state vector's index
- * walk (sim/stride_walk.h); one qubit's Kraus step is one pass.  No
- * kernel allocates or runs on the pool.
+ * The row-major entries of rho are vec(rho), a state vector of 2n
+ * qubits with the row bits high: U rho U^dag is the state vector's
+ * own 1Q/2Q kernel run twice, U at the row strides and conj(U) at the
+ * column strides, and one qubit's Kraus step is one pass.  No kernel
+ * allocates or runs on the pool.
  *
  * The schedule simulator (sim/pulse_sim.h) splits registers of 5 or
- * more qubits on the idle qubits of each layer into blocks that are
- * themselves DensityMatrix objects, and runs them across the shared
- * pool: that split is the simulator's one level of parallelism.  The
- * two-table applyPhaseVector() and applyDecoherenceAcross() exist for
- * those blocks, and apply the same per-entry arithmetic as the
- * whole-register kernels, so the split is bit-identical at every
- * register size.  The kernel-equivalence suite
+ * more qubits on the idle qubits of each layer into XOR classes, flat
+ * arrays of blocks that the same kernels run on across the shared
+ * pool: the simulator's one level of parallelism, bit-identical to the
+ * whole register at every size.  The kernel-equivalence suite
  * (tests/sim/kernel_equivalence_test.cc) pins every kernel to a dense
  * 2^n x 2^n oracle within 1e-10.  See docs/performance.md.
  */
@@ -63,11 +61,6 @@ class DensityMatrix
      *  (p[i] = exp(-i E[i] dt), precomputed by the caller). */
     void applyPhaseVector(const la::CVector &p);
 
-    /** rho[r,c] *= p_row[r] * conj(p_col[c]): the phase of a block
-     *  whose rows and columns are different slices of one register. */
-    void applyPhaseVector(std::span<const la::cplx> p_row,
-                          std::span<const la::cplx> p_col);
-
     /** Amplitude damping with excited-state decay probability
      *  @p gamma on qubit @p q. */
     void applyAmplitudeDamping(int q, double gamma);
@@ -80,10 +73,8 @@ class DensityMatrix
      * probability @p gamma[q] followed by dephasing with retention
      * @p keep[q] on every qubit.  Qubits with gamma 0 / keep 1 are
      * skipped, so a heterogeneous device pays only for its lossy
-     * qubits.  Both vectors must have numQubits() entries.
-     *
-     * Fused: both channels for one qubit land in a single sweep over
-     * the matrix (applyAmplitudeDamping + applyDephasing make three).
+     * qubits.  Both vectors must have numQubits() entries.  Both
+     * channels of one qubit land in a single sweep over the matrix.
      */
     void applyDecoherence(const std::vector<double> &gamma,
                           const std::vector<double> &keep);
@@ -92,19 +83,6 @@ class DensityMatrix
      *  probability @p gamma, then dephasing with retention @p keep,
      *  on qubit @p q; nothing when gamma is 0 and keep is 1. */
     void applyDecoherence(int q, double gamma, double keep);
-
-    /**
-     * The same step for a qubit that is not in the register but
-     * indexes two blocks of a larger one: @p lo holds the entries
-     * whose row reads 0 on that qubit, @p hi the entries whose row
-     * reads 1.  With @p same_column the columns read the same value as
-     * the rows, and damping moves @p hi into @p lo; otherwise both
-     * blocks are coherences of the qubit, scaled by damping and
-     * dephasing.  Per entry, the arithmetic of applyDecoherence().
-     */
-    static void applyDecoherenceAcross(DensityMatrix &lo, DensityMatrix &hi,
-                                       bool same_column, double gamma,
-                                       double keep);
 
     /** <psi| rho |psi>. */
     double expectationPure(const StateVector &psi) const;
@@ -120,7 +98,50 @@ class DensityMatrix
     la::CMatrix rho_;
 
     int bitPos(int q) const { return n_ - 1 - q; }
+    size_t stride(int q) const { return size_t(1) << bitPos(q); }
+    std::span<la::cplx> entries() { return {rho_.data(), dim() * dim()}; }
 };
+
+/**
+ * @name Block kernels
+ * The density-matrix kernels, on a flat array of @p cols x @p cols
+ * row-major blocks stored one after another.  A whole DensityMatrix
+ * is one block; an XOR class of the layer split (sim/pulse_sim.cc) is
+ * 2^m, block a holding the rows of part a and the columns of part
+ * a ^ x.  A qubit at stride @p s inside a block is the row bit at
+ * stride s * cols and the column bit at stride s.  Defined in
+ * sim/state_vector_kernels.cc.
+ * @{
+ */
+
+/** rho -> U rho U^dag in every block, U on the qubit at stride @p s. */
+void conjugate1Q(std::span<la::cplx> blocks, size_t cols, const la::Mat2 &u,
+                 size_t s);
+
+/** rho -> U rho U^dag in every block, U on the qubits at strides
+ *  (@p s_hi, @p s_lo). */
+void conjugate2Q(std::span<la::cplx> blocks, size_t cols, const la::Mat4 &u,
+                 size_t s_hi, size_t s_lo);
+
+/** Block a: rho[r, c] *= p[a * cols + r] * conj(p[(a ^ x) * cols + c]),
+ *  with one phase entry per row of @p blocks (x = 0 for one block). */
+void multiplyPhase(std::span<la::cplx> blocks, size_t cols,
+                   std::span<const la::cplx> p, size_t x);
+
+/** One qubit's Kraus step in every block, on the qubit at stride
+ *  @p s: damping with decay probability @p gamma, then dephasing with
+ *  retention @p keep; nothing when gamma is 0 and keep is 1. */
+void decohere(std::span<la::cplx> blocks, size_t cols, size_t s,
+              double gamma, double keep);
+
+/** The same step for a split qubit, which indexes the blocks: the
+ *  blocks @p stride entries apart pair up entry by entry.  They hold
+ *  the qubit's populations (b00, b11), or with @p coherences its
+ *  coherences (b01, b10). */
+void decohereAcross(std::span<la::cplx> blocks, size_t stride,
+                    bool coherences, double gamma, double keep);
+
+/** @} */
 
 } // namespace qzz::sim
 

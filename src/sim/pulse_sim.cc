@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <type_traits>
 #include <variant>
 
@@ -334,50 +333,32 @@ splitLayer(const std::vector<StepJob> &jobs, int n, bool allowed)
 /**
  * One XOR class of a density matrix split on m idle qubits: the
  * entries rho[r, c] whose split bits read a in r and a ^ x in c, for
- * all 2^m values of a.  Each a is one block, an (n - m)-qubit
- * DensityMatrix.  A layer that leaves the split qubits idle keeps
- * r ^ c fixed on them in every operation (docs/performance.md), so a
- * class runs the whole layer alone.  It offers runSteps() the
- * register interface, applied block by block.
+ * all 2^m values of a.  It stores them as 2^m blocks of (n - m)
+ * qubits, block a after block a - 1, so the class is one flat array
+ * for the block kernels (sim/density_matrix.h).  A layer that leaves
+ * the split qubits idle keeps r ^ c fixed on them in every operation
+ * (docs/performance.md), so a class runs the whole layer alone.  It
+ * offers runSteps() the register interface.
  */
 class XorClass
 {
   public:
     XorClass(const DensityMatrix &rho, const std::vector<double> &zz,
              const Split &split, size_t x)
-        : split_(split), x_(x)
+        : split_(split), x_(x), cols_(rho.dim() >> split.m),
+          entries_(rho.dim() * cols_), energies_(rho.dim())
     {
-        const size_t d = rho.dim();
-        const size_t parts = size_t(1) << split.m;
-        const int block_qubits = rho.numQubits() - split.m;
-        const size_t dl = size_t(1) << block_qubits;
-        blocks_.reserve(parts);
-        energies_.resize(parts * dl);
-        for (size_t a = 0; a < parts; ++a) {
-            cplx *blk = blocks_.emplace_back(block_qubits).matrix().data();
-            for (size_t lr = 0; lr < dl; ++lr) {
-                const size_t r = splice(lr, a);
-                energies_[a * dl + lr] = zz[r];
-                const cplx *row = rho.matrix().data() + r * d;
-                for (size_t lc = 0; lc < dl; ++lc)
-                    blk[lr * dl + lc] = row[splice(lc, a ^ x)];
-            }
-        }
+        const cplx *full = rho.matrix().data();
+        walk(rho.dim(), [&](size_t k, size_t i) { entries_[i] = full[k]; });
+        for (size_t i = 0; i < energies_.size(); ++i)
+            energies_[i] = zz[splice(i % cols_, i / cols_)];
     }
 
     void
     scatter(DensityMatrix &rho) const
     {
-        const size_t d = rho.dim();
-        const size_t dl = blocks_[0].dim();
-        for (size_t a = 0; a < blocks_.size(); ++a) {
-            const cplx *blk = blocks_[a].matrix().data();
-            for (size_t lr = 0; lr < dl; ++lr) {
-                cplx *row = rho.matrix().data() + splice(lr, a) * d;
-                for (size_t lc = 0; lc < dl; ++lc)
-                    row[splice(lc, a ^ x_)] = blk[lr * dl + lc];
-            }
-        }
+        cplx *full = rho.matrix().data();
+        walk(rho.dim(), [&](size_t k, size_t i) { full[k] = entries_[i]; });
     }
 
     /** Block a's row energies at offset a * 2^(n - m), so one phase
@@ -387,30 +368,24 @@ class XorClass
     void
     apply1Q(const la::Mat2 &u, int q)
     {
-        for (DensityMatrix &b : blocks_)
-            b.apply1Q(u, q);
+        conjugate1Q(entries_, cols_, u, stride(q));
     }
 
     void
     apply2Q(const la::Mat4 &u, int q_hi, int q_lo)
     {
-        for (DensityMatrix &b : blocks_)
-            b.apply2Q(u, q_hi, q_lo);
+        conjugate2Q(entries_, cols_, u, stride(q_hi), stride(q_lo));
     }
 
     void
     applyPhaseVector(const la::CVector &p)
     {
-        const size_t dl = blocks_[0].dim();
-        const std::span<const cplx> all(p);
-        for (size_t a = 0; a < blocks_.size(); ++a)
-            blocks_[a].applyPhaseVector(all.subspan(a * dl, dl),
-                                        all.subspan((a ^ x_) * dl, dl));
+        multiplyPhase(entries_, cols_, p, x_);
     }
 
     /** The Kraus sweep in the whole register's order, qubit by qubit
      *  ascending: a split qubit pairs the blocks that differ in its
-     *  bit, any other qubit acts inside each block. */
+     *  bit, any other qubit acts inside every block. */
     void
     applyDecoherence(const std::vector<double> &gamma,
                      const std::vector<double> &keep)
@@ -418,29 +393,43 @@ class XorClass
         for (size_t q = 0; q < split_.local.size(); ++q) {
             const int l = split_.local[q];
             if (l >= 0) {
-                for (DensityMatrix &b : blocks_)
-                    b.applyDecoherence(l, gamma[q], keep[q]);
+                decohere(entries_, cols_, stride(l), gamma[q], keep[q]);
                 continue;
             }
             const size_t bit = size_t(1) << (-1 - l);
-            for (size_t a = 0; a < blocks_.size(); ++a)
-                if (!(a & bit))
-                    DensityMatrix::applyDecoherenceAcross(
-                        blocks_[a], blocks_[a | bit], !(x_ & bit), gamma[q],
-                        keep[q]);
+            decohereAcross(entries_, bit * cols_ * cols_, x_ & bit, gamma[q],
+                           keep[q]);
         }
     }
 
   private:
     const Split &split_;
     size_t x_;
-    std::vector<DensityMatrix> blocks_;
+    size_t cols_;
+    std::vector<cplx> entries_;
     std::vector<double> energies_;
+
+    size_t stride(int q) const { return cols_ >> (q + 1); }
 
     size_t
     splice(size_t l, size_t a) const
     {
         return spliceIndex(l, a, split_.pos, split_.m);
+    }
+
+    /** Call @p f(k, i) for entry k of a d x d rho and entry i of the
+     *  class holding it, in class order: class row r is row r % cols_
+     *  of block r / cols_. */
+    template <class F>
+    void
+    walk(size_t d, F f) const
+    {
+        for (size_t r = 0, i = 0; r < d; ++r) {
+            const size_t a = r / cols_;
+            const size_t row = splice(r % cols_, a) * d;
+            for (size_t c = 0; c < cols_; ++c, ++i)
+                f(row + splice(c, a ^ x_), i);
+        }
     }
 };
 

