@@ -48,10 +48,11 @@ main()
     bench::banner("Figure 27", "Ramsey experiments (effective ZZ)");
     // Shared ownership keeps the libraries alive independent of the
     // process-wide cache.
-    const auto provider = core::defaultPulseProvider();
     const pulse::PulseLibrary &gau = pulse::PulseLibrary::gaussian();
-    const auto dcg_lib = provider->library(core::PulseMethod::DCG);
-    const auto pert_lib = provider->library(core::PulseMethod::Pert);
+    const auto dcg_lib =
+        core::getPulseLibraryShared(core::PulseMethod::DCG);
+    const auto pert_lib =
+        core::getPulseLibraryShared(core::PulseMethod::Pert);
     const pulse::PulseLibrary &dcg = *dcg_lib;
     const pulse::PulseLibrary &pert = *pert_lib;
 

@@ -36,8 +36,8 @@ main()
               << native.twoQubitCount() << " Rzx)\n\n";
 
     // Stage 3+4: schedule and attach pulse libraries, then simulate.
-    // Each configuration is a Compiler running the same pass pipeline
-    // the stages above walked by hand.
+    // Each configuration is a Compiler running the same four stages
+    // the code above walked by hand.
     Table table({"configuration", "layers", "exec (ns)", "mean NC",
                  "max NQ", "fidelity"});
     for (auto [pulse, sched] :

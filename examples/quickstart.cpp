@@ -29,8 +29,8 @@ main()
         circuit.cx(q, q + 1);
 
     // 3. Compile + simulate under both policies.  Each configuration
-    //    is a Compiler: an explicit route -> lower -> schedule ->
-    //    attach-pulses pass pipeline bound to the device.
+    //    is a Compiler bound to the device: route -> lower ->
+    //    schedule -> attach pulses.
     Table table({"configuration", "fidelity", "exec time (ns)",
                  "layers", "mean NC"});
     for (auto [pulse, sched] :

@@ -1,7 +1,6 @@
 #include "core/compiler.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -24,84 +23,46 @@ millisecondsSince(Clock::time_point start)
         .count();
 }
 
-} // namespace
-
-// ---------------------------------------------------------------------------
-// Pulse providers
-// ---------------------------------------------------------------------------
-
-std::shared_ptr<const pulse::PulseLibrary>
-CachedPulseProvider::library(PulseMethod method)
+/**
+ * The working state of one compilation.  Inputs are references owned
+ * by the Compiler; the rest is private to this compilation, so
+ * concurrent compilations never share a context.
+ */
+struct CompileState
 {
-    return getPulseLibraryShared(method);
-}
+    const dev::Device &device;
+    const CompileOptions &options;
+    /** Per-device tables of options.sched (nullptr for ParSched). */
+    const CutTables *cut_tables;
+    /** The pulse library; the schedule stage fills it in when the
+     *  Compiler has none injected. */
+    std::shared_ptr<const pulse::PulseLibrary> library;
 
-std::shared_ptr<PulseProvider>
-defaultPulseProvider()
-{
-    return std::make_shared<CachedPulseProvider>();
-}
+    /** Barrier-separated input segments (one for a plain compile). */
+    std::vector<ckt::QuantumCircuit> segments;
+    /** Routed segments over physical qubits (route stage). */
+    std::vector<ckt::QuantumCircuit> routed_segments{};
+    /** Native-gate segments (lower stage). */
+    std::vector<ckt::QuantumCircuit> native_segments{};
+    /** final_layout[logical] = physical qubit after the last segment. */
+    std::vector<int> final_layout{};
+    /** SWAPs inserted so far. */
+    int swaps_inserted = 0;
+    /** The program being assembled (native, schedule, library). */
+    CompiledProgram program;
+};
 
-// ---------------------------------------------------------------------------
-// CompileContext
-// ---------------------------------------------------------------------------
-
-CompileContext::CompileContext(const dev::Device &device,
-                               const CompileOptions &opt,
-                               const CutTables *cut_tables,
-                               PulseProvider &provider,
-                               std::vector<ckt::QuantumCircuit> segments)
-    : device(device), options(opt), cut_tables(cut_tables),
-      provider(provider), segments(std::move(segments))
-{
-}
-
+/** Route every segment to the topology, threading the layout. */
 void
-CompileContext::fail(std::string pass, std::string message,
-                     CompileStatusCode code)
-{
-    // The first failure wins; later passes are skipped anyway.
-    if (!status.ok())
-        return;
-    status.code = code;
-    status.pass = std::move(pass);
-    status.message = std::move(message);
-}
-
-const pulse::PulseLibrary *
-CompileContext::ensureLibrary()
-{
-    if (program.library)
-        return program.library.get();
-    std::shared_ptr<const pulse::PulseLibrary> lib =
-        provider.library(options.pulse);
-    if (!lib) {
-        fail("pulses", "pulse provider returned no library");
-        return nullptr;
-    }
-    program.library = std::move(lib);
-    durations = GateDurations::fromLibrary(*program.library);
-    return program.library.get();
-}
-
-// ---------------------------------------------------------------------------
-// The default passes
-// ---------------------------------------------------------------------------
-
-void
-RoutePass::run(CompileContext &ctx) const
+routeStage(CompileState &ctx)
 {
     const int logical_qubits = ctx.segments.front().numQubits();
     // The permutation left by one segment's SWAPs is the next
     // segment's initial layout.
     std::vector<int> layout = ctx.final_layout;
-    ctx.routed_segments.clear();
     for (const ckt::QuantumCircuit &segment : ctx.segments) {
-        if (segment.numQubits() != logical_qubits) {
-            ctx.fail(name(), "route: register size mismatch between "
-                             "segments");
-            return;
-        }
+        require(segment.numQubits() == logical_qubits,
+                "route: register size mismatch between segments");
         ckt::RoutedCircuit routed =
             ckt::routeCircuit(segment, ctx.device.graph(), layout);
         layout = routed.final_layout;
@@ -111,10 +72,10 @@ RoutePass::run(CompileContext &ctx) const
     ctx.final_layout = std::move(layout);
 }
 
+/** Lower routed segments to the native gate set. */
 void
-LowerPass::run(CompileContext &ctx) const
+lowerStage(CompileState &ctx)
 {
-    ctx.native_segments.clear();
     ctx.program.native = ckt::QuantumCircuit(
         ctx.device.numQubits(), ctx.segments.front().name());
     for (const ckt::QuantumCircuit &routed : ctx.routed_segments) {
@@ -127,39 +88,48 @@ LowerPass::run(CompileContext &ctx) const
     }
 }
 
+/** Layer each native segment with core::schedule() under
+ *  options.sched. */
 void
-SchedulePass::run(CompileContext &ctx) const
+scheduleStage(CompileState &ctx)
 {
     // Durations come from the pulse library (e.g. DCG stretches SX to
-    // 120 ns), so the library is acquired here even though it is only
-    // attached to the program by AttachPulsesPass.
-    if (!ctx.ensureLibrary())
-        return;
-    ctx.program.schedule = Schedule{};
+    // 120 ns), so the library is acquired here even though the pulses
+    // stage attaches it.
+    if (!ctx.library)
+        ctx.library = getPulseLibraryShared(ctx.options.pulse);
+    const GateDurations durations =
+        GateDurations::fromLibrary(*ctx.library);
     ctx.program.schedule.num_qubits = ctx.device.numQubits();
     for (const ckt::QuantumCircuit &native : ctx.native_segments) {
         Schedule sched =
-            schedule(ctx.options.sched, native, ctx.device, ctx.durations,
+            schedule(ctx.options.sched, native, ctx.device, durations,
                      ctx.options.zzx, ctx.cut_tables);
         for (Layer &layer : sched.layers)
             ctx.program.schedule.layers.push_back(std::move(layer));
     }
 }
 
+/** Attach the pulse library to the compiled program. */
 void
-AttachPulsesPass::run(CompileContext &ctx) const
+pulsesStage(CompileState &ctx)
 {
-    ctx.ensureLibrary();
+    ctx.program.library = ctx.library;
 }
 
-std::vector<std::shared_ptr<const Pass>>
-defaultPassPipeline()
+/** The paper's pipeline, in order. */
+constexpr struct
 {
-    return {std::make_shared<RoutePass>(),
-            std::make_shared<LowerPass>(),
-            std::make_shared<SchedulePass>(),
-            std::make_shared<AttachPulsesPass>()};
-}
+    const char *name;
+    void (*run)(CompileState &);
+} kStages[] = {
+    {"route", routeStage},
+    {"lower", lowerStage},
+    {"schedule", scheduleStage},
+    {"pulses", pulsesStage},
+};
+
+} // namespace
 
 // ---------------------------------------------------------------------------
 // Compiler
@@ -184,11 +154,9 @@ BatchResult::allOk() const
 
 Compiler::Compiler(dev::Device device, CompileOptions options,
                    std::shared_ptr<const CutTables> cut_tables,
-                   std::shared_ptr<PulseProvider> provider,
-                   std::vector<std::shared_ptr<const Pass>> passes)
+                   std::shared_ptr<const pulse::PulseLibrary> library)
     : device_(std::move(device)), options_(options),
-      cut_tables_(std::move(cut_tables)), provider_(std::move(provider)),
-      passes_(std::move(passes))
+      cut_tables_(std::move(cut_tables)), library_(std::move(library))
 {
 }
 
@@ -212,60 +180,54 @@ Compiler::compileSegments(
         return out;
     }
 
-    CompileContext ctx(device_, options_, cut_tables_.get(), *provider_,
-                       std::move(segments));
-    ctx.program.pulse_method = options_.pulse;
-    ctx.program.sched_policy = options_.sched;
-    ctx.program.calib_epoch = device_.calibration().epoch;
-
+    CompileState ctx{.device = device_,
+                     .options = options_,
+                     .cut_tables = cut_tables_.get(),
+                     .library = library_,
+                     .segments = std::move(segments),
+                     .program = std::move(out.program)};
+    CompileDiagnostics &diag = out.diagnostics;
     const auto compile_start = Clock::now();
-    for (const std::shared_ptr<const Pass> &pass : passes_) {
+    for (const auto &[name, run] : kStages) {
         StageDiagnostics stage;
-        stage.stage = pass->name();
+        stage.stage = name;
         const auto layers_before = ctx.program.schedule.layers.size();
         const auto gates_before = ctx.program.native.size();
         const auto stage_start = Clock::now();
         stage.start_ms = millisecondsSince(compile_start);
         try {
-            pass->run(ctx);
+            run(ctx);
         } catch (const UserError &e) {
-            ctx.fail(pass->name(), e.what(),
-                     CompileStatusCode::InvalidInput);
+            out.status = {CompileStatusCode::InvalidInput, name, e.what()};
         } catch (const InternalError &e) {
-            ctx.fail(pass->name(), e.what(),
-                     CompileStatusCode::Internal);
+            out.status = {CompileStatusCode::Internal, name, e.what()};
         } catch (const std::exception &e) {
-            // Custom passes / providers may throw anything; map it to
-            // the status channel rather than letting it escape a
-            // compileBatch() worker thread (std::terminate).
-            ctx.fail(pass->name(), e.what(),
-                     CompileStatusCode::Internal);
+            // A std::bad_alloc, or a failure while building a pulse
+            // library, must land on the status channel: escaping a
+            // compileBatch() worker thread would std::terminate.
+            out.status = {CompileStatusCode::Internal, name, e.what()};
         }
         stage.wall_ms = millisecondsSince(stage_start);
         stage.layers_added =
             int(ctx.program.schedule.layers.size() - layers_before);
         stage.gates_added =
             int(ctx.program.native.size() - gates_before);
-        ctx.diagnostics.stages.push_back(std::move(stage));
-        if (!ctx.status.ok())
+        diag.stages.push_back(std::move(stage));
+        if (!out.status.ok())
             break;
     }
-    ctx.diagnostics.total_ms = millisecondsSince(compile_start);
-    ctx.diagnostics.swaps_inserted = ctx.swaps_inserted;
+    diag.total_ms = millisecondsSince(compile_start);
+    diag.swaps_inserted = ctx.swaps_inserted;
     ctx.program.final_layout = std::move(ctx.final_layout);
-    if (ctx.status.ok()) {
+    if (out.status.ok()) {
         const Schedule &sched = ctx.program.schedule;
-        ctx.diagnostics.physical_layers = sched.physicalLayerCount();
-        ctx.diagnostics.mean_nc = sched.meanNc();
-        ctx.diagnostics.max_nq = sched.maxNq();
-        ctx.diagnostics.execution_time_ns = sched.executionTime();
-        ctx.diagnostics.mean_residual_zz =
-            meanResidualZz(sched, device_.couplings());
+        diag.physical_layers = sched.physicalLayerCount();
+        diag.mean_nc = sched.meanNc();
+        diag.max_nq = sched.maxNq();
+        diag.execution_time_ns = sched.executionTime();
+        diag.mean_residual_zz = meanResidualZz(sched, device_.couplings());
     }
-
     out.program = std::move(ctx.program);
-    out.diagnostics = std::move(ctx.diagnostics);
-    out.status = std::move(ctx.status);
     return out;
 }
 
@@ -287,9 +249,11 @@ Compiler::compileBatch(const std::vector<ckt::QuantumCircuit> &circuits,
     // Warm the shared pulse library before fanning out, so the
     // workers never serialize on a cold calibration build; a failure
     // here is surfaced per-circuit through the status channel.
-    try {
-        provider_->library(options_.pulse);
-    } catch (const std::exception &) {
+    if (!library_) {
+        try {
+            getPulseLibraryShared(options_.pulse);
+        } catch (const std::exception &) {
+        }
     }
 
     // Fan out over the shared work pool (one circuit per block) —
@@ -334,31 +298,11 @@ CompilerBuilder::schedPolicy(SchedPolicy p)
 }
 
 CompilerBuilder &
-CompilerBuilder::zzxOptions(const ZzxOptions &opt)
+CompilerBuilder::pulseLibrary(
+    std::shared_ptr<const pulse::PulseLibrary> library)
 {
-    options_.zzx = opt;
-    return *this;
-}
-
-CompilerBuilder &
-CompilerBuilder::pulseProvider(std::shared_ptr<PulseProvider> p)
-{
-    provider_ = std::move(p);
-    return *this;
-}
-
-CompilerBuilder &
-CompilerBuilder::addPass(std::shared_ptr<const Pass> pass)
-{
-    extra_passes_.push_back(std::move(pass));
-    return *this;
-}
-
-CompilerBuilder &
-CompilerBuilder::passes(std::vector<std::shared_ptr<const Pass>> passes)
-{
-    replaced_passes_ = std::move(passes);
-    replace_pipeline_ = true;
+    require(library != nullptr, "CompilerBuilder: null pulse library");
+    library_ = std::move(library);
     return *this;
 }
 
@@ -369,14 +313,7 @@ CompilerBuilder::build() const
     if (options_.sched != SchedPolicy::Par)
         cut_tables = std::make_shared<const CutTables>(device_,
                                                        options_.sched);
-    std::shared_ptr<PulseProvider> provider =
-        provider_ ? provider_ : defaultPulseProvider();
-    std::vector<std::shared_ptr<const Pass>> pipeline =
-        replace_pipeline_ ? replaced_passes_ : defaultPassPipeline();
-    pipeline.insert(pipeline.end(), extra_passes_.begin(),
-                    extra_passes_.end());
-    return Compiler(device_, options_, std::move(cut_tables),
-                    std::move(provider), std::move(pipeline));
+    return Compiler(device_, options_, std::move(cut_tables), library_);
 }
 
 } // namespace qzz::core

@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -281,23 +280,6 @@ defaultPulseOptConfig(PulseMethod method, PulseGate gate)
     return cfg;
 }
 
-PulseOptConfig
-defaultPulseOptConfig(PulseMethod method, PulseGate gate,
-                      const dev::Device &device)
-{
-    PulseOptConfig cfg = defaultPulseOptConfig(method, gate);
-    const double mean_zz = device.calibration().meanZz();
-    if (mean_zz <= 0.0)
-        return cfg; // edgeless device: keep the nominal strengths
-    // The stock defaults assume the paper's nominal 200 kHz coupling;
-    // rescale the objective's ZZ strengths to the calibrated mean.
-    const double scale = mean_zz / khz(200);
-    cfg.objective.lambda_intra = mean_zz;
-    for (double &lambda : cfg.objective.lambda_samples)
-        lambda *= scale;
-    return cfg;
-}
-
 PulseProgram
 programFromCoeffs(const std::vector<std::vector<double>> &coeffs,
                   double t_gate)
@@ -488,28 +470,6 @@ libraryMemo()
     return memo;
 }
 
-/** Memo of DRAG-corrected variants, keyed on (method, alpha bits) so
- *  heterogeneous devices share one library per distinct calibrated
- *  anharmonicity.  Guarded by libraryMutex() like the base memo. */
-std::map<std::pair<PulseMethod, uint64_t>,
-         std::shared_ptr<const pulse::PulseLibrary>> &
-draggedMemo()
-{
-    static std::map<std::pair<PulseMethod, uint64_t>,
-                    std::shared_ptr<const pulse::PulseLibrary>>
-        memo;
-    return memo;
-}
-
-uint64_t
-alphaKey(double alpha)
-{
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(alpha));
-    std::memcpy(&bits, &alpha, sizeof(bits));
-    return bits;
-}
-
 std::shared_ptr<const pulse::PulseLibrary>
 lookupLibrary(PulseMethod method)
 {
@@ -552,48 +512,8 @@ getPulseLibraryShared(PulseMethod method)
         std::move(lib));
     const std::lock_guard<std::mutex> lock(libraryMutex());
     auto [pos, ok] = libraryMemo().emplace(method, std::move(shared));
-    ensure(ok, "getPulseLibrary: memo insert failed");
+    ensure(ok, "getPulseLibraryShared: memo insert failed");
     return pos->second;
-}
-
-const pulse::PulseLibrary &
-getPulseLibrary(PulseMethod method)
-{
-    return *getPulseLibraryShared(method);
-}
-
-std::shared_ptr<const pulse::PulseLibrary>
-getDraggedLibraryShared(PulseMethod method, double alpha)
-{
-    require(alpha != 0.0,
-            "getDraggedLibraryShared: zero anharmonicity");
-    const auto key = std::make_pair(method, alphaKey(alpha));
-    {
-        const std::lock_guard<std::mutex> lock(libraryMutex());
-        auto it = draggedMemo().find(key);
-        if (it != draggedMemo().end())
-            return it->second;
-    }
-    // Derive outside the memo lock (the base library itself may need
-    // a cold build); racing builders produce identical variants and
-    // the first insert wins.
-    auto base = getPulseLibraryShared(method);
-    auto dragged = std::make_shared<const pulse::PulseLibrary>(
-        base->withDrag(alpha));
-    const std::lock_guard<std::mutex> lock(libraryMutex());
-    auto [pos, inserted] = draggedMemo().emplace(key, std::move(dragged));
-    return pos->second;
-}
-
-std::vector<std::shared_ptr<const pulse::PulseLibrary>>
-perQubitPulseLibraries(PulseMethod method, const dev::Device &device)
-{
-    std::vector<std::shared_ptr<const pulse::PulseLibrary>> out;
-    out.reserve(size_t(device.numQubits()));
-    for (int q = 0; q < device.numQubits(); ++q)
-        out.push_back(
-            getDraggedLibraryShared(method, device.anharmonicity(q)));
-    return out;
 }
 
 void
@@ -601,7 +521,6 @@ clearPulseLibraryCache()
 {
     const std::lock_guard<std::mutex> lock(libraryMutex());
     libraryMemo().clear();
-    draggedMemo().clear();
 }
 
 } // namespace qzz::core

@@ -25,7 +25,6 @@
 
 #include "core/objectives.h"
 #include "core/optimizer.h"
-#include "device/device.h"
 #include "pulse/library.h"
 
 namespace qzz::core {
@@ -105,19 +104,6 @@ struct PulseOptConfig
 PulseOptConfig defaultPulseOptConfig(PulseMethod method,
                                      pulse::PulseGate gate);
 
-/**
- * Device-calibrated defaults: defaultPulseOptConfig() with the
- * objective's ZZ strengths read from the device's calibration
- * snapshot — lambda_intra set to the snapshot's mean per-edge ZZ
- * rate (dev::Calibration::meanZz()), and the OptCtrl lambda samples
- * rescaled by the ratio of that mean to the nominal 200 kHz the
- * stock defaults assume.  An edgeless device keeps the nominal
- * strengths unchanged.
- */
-PulseOptConfig defaultPulseOptConfig(PulseMethod method,
-                                     pulse::PulseGate gate,
-                                     const dev::Device &device);
-
 /** An optimized pulse and its diagnostics. */
 struct OptimizedPulse
 {
@@ -158,43 +144,7 @@ pulse::PulseProgram programFromCoeffs(
 std::shared_ptr<const pulse::PulseLibrary>
 getPulseLibraryShared(PulseMethod method);
 
-/**
- * Reference-returning variant of getPulseLibraryShared().  The
- * reference is valid until the next clearPulseLibraryCache(); prefer
- * the shared variant when the library must outlive the cache.
- */
-const pulse::PulseLibrary &getPulseLibrary(PulseMethod method);
-
-/**
- * DRAG-corrected variant of the method's library for a transmon with
- * anharmonicity @p alpha (rad/ns, nonzero), memoized on (method,
- * alpha): repeated calls for the same pair return the same shared
- * library.  The underlying Fourier coefficients still come from the
- * method's calibration store entry under calib/ — the DRAG correction
- * is derived analytically per anharmonicity, so heterogeneous devices
- * never re-run the pulse optimization.  Thread-safe like
- * getPulseLibraryShared().
- */
-std::shared_ptr<const pulse::PulseLibrary>
-getDraggedLibraryShared(PulseMethod method, double alpha);
-
-/**
- * Per-qubit library variants for a device: out[q] is the method's
- * library DRAG-corrected for qubit q's calibrated anharmonicity
- * (device.anharmonicity(q)).  Qubits sharing an anharmonicity share
- * one library instance through the (method, alpha) memo, so a uniform
- * device yields numQubits() aliases of a single variant.  The
- * returned vector always has exactly device.numQubits() entries,
- * none null; thread-safe like getDraggedLibraryShared().  Note that
- * CompiledProgram still attaches a single library — these variants
- * are for callers simulating heterogeneous devices per qubit (the
- * per-qubit attachment extension is a ROADMAP item).
- */
-std::vector<std::shared_ptr<const pulse::PulseLibrary>>
-perQubitPulseLibraries(PulseMethod method, const dev::Device &device);
-
-/** Clear the in-process library memos — both the per-method map and
- *  the per-(method, anharmonicity) DRAG variants (tests).
+/** Clear the in-process per-method library memo (tests).
  *  Thread-safe; shared handles from getPulseLibraryShared() remain
  *  valid. */
 void clearPulseLibraryCache();

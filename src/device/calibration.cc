@@ -221,17 +221,6 @@ Calibration::withUniformCoherence(double new_t1, double new_t2) const
     return c;
 }
 
-double
-Calibration::meanZz() const
-{
-    if (zz.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (double v : zz)
-        sum += v;
-    return sum / double(zz.size());
-}
-
 // ---------------------------------------------------------------------------
 // JSON round trip
 // ---------------------------------------------------------------------------

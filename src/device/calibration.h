@@ -159,9 +159,6 @@ struct Calibration
      *  shim used by decoherence sweeps).  Throws UserError on
      *  non-positive times or T2 > 2 T1. */
     Calibration withUniformCoherence(double t1, double t2) const;
-
-    /** Mean per-edge ZZ strength (rad/ns); 0 for edgeless devices. */
-    double meanZz() const;
 };
 
 /** Serialize @p calib as one line of JSON (lossless round-trip). */

@@ -1,10 +1,7 @@
 #include "pulse/library.h"
 
-#include <sstream>
-
 #include "common/error.h"
 #include "common/units.h"
-#include "pulse/drag.h"
 
 namespace qzz::pulse {
 
@@ -39,33 +36,6 @@ PulseLibrary::get(PulseGate g) const
         fatal("PulseLibrary '" + name_ + "': no program for " +
               pulseGateName(g));
     return it->second;
-}
-
-PulseLibrary
-PulseLibrary::withDrag(double alpha) const
-{
-    require(alpha != 0.0, "PulseLibrary::withDrag: zero anharmonicity");
-    std::ostringstream name;
-    name.precision(6);
-    name << name_ << "+DRAG(" << toMhz(alpha) << " MHz)";
-    PulseLibrary out(name.str());
-    for (const auto &[gate, program] : programs_) {
-        PulseProgram corrected = program;
-        if (program.x_a || program.y_a) {
-            QuadraturePair pair =
-                applyDrag(program.x_a, program.y_a, alpha);
-            corrected.x_a = std::move(pair.x);
-            corrected.y_a = std::move(pair.y);
-        }
-        if (program.x_b || program.y_b) {
-            QuadraturePair pair =
-                applyDrag(program.x_b, program.y_b, alpha);
-            corrected.x_b = std::move(pair.x);
-            corrected.y_b = std::move(pair.y);
-        }
-        out.set(gate, std::move(corrected));
-    }
-    return out;
 }
 
 PulseLibrary

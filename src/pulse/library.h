@@ -63,19 +63,6 @@ class PulseLibrary
      */
     static PulseLibrary gaussian(double t_gate = 20.0);
 
-    /**
-     * First-order DRAG-corrected variant of this library for a
-     * transmon with anharmonicity @p alpha (rad/ns, nonzero): every
-     * drive quadrature pair — (x_a, y_a), and (x_b, y_b) of two-qubit
-     * programs — is replaced by its applyDrag() correction, cancelling
-     * the leading leakage into the second excited state (Sec. 7.2.1).
-     * The coupling channel and all durations are unchanged, so gate
-     * timings (and therefore schedules) are identical to the base
-     * library's.  Per-qubit calibrated anharmonicities produce one
-     * variant per distinct alpha (see core::getDraggedLibraryShared).
-     */
-    PulseLibrary withDrag(double alpha) const;
-
   private:
     std::string name_;
     std::map<PulseGate, PulseProgram> programs_;

@@ -8,7 +8,8 @@
  *
  * @section compile Compiling a circuit
  *
- * Compilation runs an explicit pass pipeline (core/compiler.h):
+ * Compilation runs four fixed stages — route, lower, schedule,
+ * attach pulses (core/compiler.h):
  *
  * @code
  *   core::Compiler compiler = core::CompilerBuilder(device)
@@ -26,7 +27,8 @@
  *  - the scheduling policy is a value (core::SchedPolicy): the schedule
  *    stage calls core::schedule() (core/sched_walk.h), the one switch
  *    over policies, which also schedules a native circuit directly;
- *  - pulse sources (core::PulseProvider) are injectable, and
+ *  - the pulse method is a value too (core::PulseMethod);
+ *    CompilerBuilder::pulseLibrary() injects another library, and
  *    CompiledProgram owns its pulse library via shared_ptr;
  *  - compileBatch() compiles many circuits across a thread pool while
  *    sharing routing tables, cut tables and pulse libraries.

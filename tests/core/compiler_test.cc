@@ -1,19 +1,19 @@
 /**
  * @file
- * Tests for the stage-based compilation API (core/compiler.h): the
- * builder, the default pass pipeline, the structured status channel,
- * per-stage diagnostics, injectable pulse providers and passes, and
- * the schedule stage's agreement with core::schedule().
+ * Tests for the compiler (core/compiler.h): the builder, the four
+ * stages, the structured status channel, per-stage diagnostics, an
+ * injected pulse library, and the schedule stage's agreement with
+ * core::schedule().
  */
 
 #include "core/compiler.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <sstream>
 
 #include "circuit/benchmarks.h"
+#include "common/error.h"
 #include "common/units.h"
 #include "core/dcg.h"
 #include "core/schedule_io.h"
@@ -180,110 +180,39 @@ TEST(CompilerTest, SchedulePassMatchesCoreSchedule)
     }
 }
 
-TEST(CompilerTest, FixedPulseProviderInjectsLibrary)
+TEST(CompilerTest, InjectedLibraryReplacesMethodLibrary)
 {
-    // DD composition via the provider seam: every gate comes from the
-    // substituted library, no process-global cache involved.
+    // DD composition: every gate comes from the injected
+    // DD-substituted library, not from the method's own (DCG would
+    // stretch SX to 120 ns), and no process-global cache is involved.
     auto dev = device23();
-    pulse::PulseLibrary dd = substituteIdentity(
-        pulse::PulseLibrary::gaussian(), dcgIdentity());
     ckt::QuantumCircuit c(6);
     c.sx(0);
     Compiler compiler =
         CompilerBuilder(dev)
+            .pulseMethod(PulseMethod::DCG)
             .schedPolicy(SchedPolicy::Zzx)
-            .pulseProvider(
-                std::make_shared<FixedPulseProvider>(std::move(dd)))
+            .pulseLibrary(std::make_shared<const pulse::PulseLibrary>(
+                substituteIdentity(pulse::PulseLibrary::gaussian(),
+                                   dcgIdentity())))
             .build();
     CompileResult result = compiler.compile(c);
     ASSERT_TRUE(result.ok());
     ASSERT_NE(result.program.library, nullptr);
     EXPECT_EQ(result.program.library->name(), "Gaussian+DD");
-    // Supplemented identities are the 40 ns DCG sequence; the layer
-    // lasts as long as its longest pulse.
+    EXPECT_EQ(result.program.pulse_method, PulseMethod::DCG);
+    // ZZXSched supplements identities on the idle qubits; they are the
+    // 40 ns DCG sequence, and the layer lasts as long as its longest
+    // pulse.
+    int supplemented = 0;
+    for (const Layer &layer : result.program.schedule.layers)
+        for (const ScheduledGate &sg : layer.gates)
+            supplemented += sg.supplemented ? 1 : 0;
+    EXPECT_GT(supplemented, 0);
     ASSERT_EQ(result.program.schedule.physicalLayerCount(), 1);
     EXPECT_DOUBLE_EQ(result.program.schedule.executionTime(), 40.0);
-}
 
-TEST(CompilerTest, CustomPassAppendsToPipeline)
-{
-    /** A post-pipeline stage: counts supplemented identities. */
-    class CountSupplementedPass final : public Pass
-    {
-      public:
-        explicit CountSupplementedPass(std::atomic<int> &count)
-            : count_(count)
-        {
-        }
-        std::string name() const override { return "count-suppl"; }
-        void
-        run(CompileContext &ctx) const override
-        {
-            int n = 0;
-            for (const Layer &layer : ctx.program.schedule.layers)
-                for (const ScheduledGate &sg : layer.gates)
-                    n += sg.supplemented ? 1 : 0;
-            count_.store(n);
-        }
-
-      private:
-        std::atomic<int> &count_;
-    };
-
-    auto dev = device23();
-    std::atomic<int> count{-1};
-    Compiler compiler =
-        CompilerBuilder(dev)
-            .pulseMethod(PulseMethod::Gaussian)
-            .schedPolicy(SchedPolicy::Zzx)
-            .addPass(std::make_shared<CountSupplementedPass>(count))
-            .build();
-    EXPECT_EQ(compiler.passes().size(), 5u);
-    CompileResult result = compiler.compile(testCircuit());
-    ASSERT_TRUE(result.ok());
-    // ZZXSched supplements identities, so the pass must have seen > 0.
-    EXPECT_GT(count.load(), 0);
-    ASSERT_EQ(result.diagnostics.stages.size(), 5u);
-    EXPECT_EQ(result.diagnostics.stages.back().stage, "count-suppl");
-}
-
-TEST(CompilerTest, ForeignExceptionsLandOnStatusChannel)
-{
-    /** A pass throwing a non-qzz exception: must surface as a failed
-     *  status, not escape (which would terminate compileBatch
-     *  workers). */
-    class ThrowingPass final : public Pass
-    {
-      public:
-        std::string name() const override { return "throwing"; }
-        void
-        run(CompileContext &ctx) const override
-        {
-            (void)ctx;
-            throw std::runtime_error("external failure");
-        }
-    };
-
-    auto dev = device23();
-    Compiler compiler = CompilerBuilder(dev)
-                            .pulseMethod(PulseMethod::Gaussian)
-                            .addPass(std::make_shared<ThrowingPass>())
-                            .build();
-    CompileResult direct = compiler.compile(testCircuit());
-    EXPECT_FALSE(direct.ok());
-    EXPECT_EQ(direct.status.code, CompileStatusCode::Internal);
-    EXPECT_EQ(direct.status.pass, "throwing");
-    EXPECT_EQ(direct.status.message, "external failure");
-
-    // And through the batch thread pool.
-    BatchOptions opt;
-    opt.num_threads = 2;
-    BatchResult batch = compiler.compileBatch(
-        {testCircuit(), testCircuit(8)}, opt);
-    ASSERT_EQ(batch.results.size(), 2u);
-    EXPECT_FALSE(batch.allOk());
-    for (const CompileResult &r : batch.results)
-        EXPECT_EQ(r.status.code, CompileStatusCode::Internal);
+    EXPECT_THROW(CompilerBuilder(dev).pulseLibrary(nullptr), UserError);
 }
 
 TEST(CompilerTest, ProgramOwnsLibraryAcrossCacheClear)

@@ -9,7 +9,6 @@
 #include "common/error.h"
 #include "common/units.h"
 #include "core/regions.h"
-#include "graph/topologies.h"
 #include "linalg/expm.h"
 
 namespace qzz::core {
@@ -126,12 +125,13 @@ TEST(PulseOptTest, MethodNames)
 TEST(PulseOptTest, GaussianAndDcgLibrariesBuildWithoutOptimization)
 {
     clearPulseLibraryCache();
-    const auto &gau = getPulseLibrary(PulseMethod::Gaussian);
-    EXPECT_EQ(gau.name(), "Gaussian");
-    const auto &dcg = getPulseLibrary(PulseMethod::DCG);
-    EXPECT_EQ(dcg.name(), "DCG");
+    const auto gau = getPulseLibraryShared(PulseMethod::Gaussian);
+    EXPECT_EQ(gau->name(), "Gaussian");
+    const auto dcg = getPulseLibraryShared(PulseMethod::DCG);
+    EXPECT_EQ(dcg->name(), "DCG");
     // Memoized: same object back.
-    EXPECT_EQ(&getPulseLibrary(PulseMethod::Gaussian), &gau);
+    EXPECT_EQ(getPulseLibraryShared(PulseMethod::Gaussian).get(),
+              gau.get());
 }
 
 TEST(PulseOptTest, OnlyOptimizableMethodsAccepted)
@@ -174,89 +174,6 @@ TEST(PulseOptTest, SharedLibrarySurvivesCacheClear)
     auto rebuilt = getPulseLibraryShared(PulseMethod::Gaussian);
     EXPECT_NE(rebuilt.get(), gau.get());
     EXPECT_EQ(rebuilt->name(), gau->name());
-}
-
-TEST(PulseOptTest, DraggedLibraryIsMemoizedPerAnharmonicity)
-{
-    clearPulseLibraryCache();
-    const double alpha = -mhz(300.0);
-    auto a = getDraggedLibraryShared(PulseMethod::Gaussian, alpha);
-    auto b = getDraggedLibraryShared(PulseMethod::Gaussian, alpha);
-    ASSERT_NE(a, nullptr);
-    // Same (method, alpha) -> the same shared variant.
-    EXPECT_EQ(a.get(), b.get());
-    // A different calibrated anharmonicity is a different variant.
-    auto c = getDraggedLibraryShared(PulseMethod::Gaussian,
-                                     -mhz(250.0));
-    EXPECT_NE(a.get(), c.get());
-    EXPECT_THROW(getDraggedLibraryShared(PulseMethod::Gaussian, 0.0),
-                 UserError);
-
-    // The DRAG correction adds the derivative quadrature but must
-    // not change durations (schedules depend on them).
-    const auto base = getPulseLibraryShared(PulseMethod::Gaussian);
-    const pulse::PulseProgram &sx_base =
-        base->get(pulse::PulseGate::SX);
-    const pulse::PulseProgram &sx_drag = a->get(pulse::PulseGate::SX);
-    EXPECT_EQ(sx_drag.duration, sx_base.duration);
-    ASSERT_NE(sx_drag.y_a, nullptr);
-    // y' = -x'(t)/alpha: nonzero off the Gaussian peak.
-    EXPECT_NE(sx_drag.y_a->value(5.0), 0.0);
-    EXPECT_NEAR(sx_drag.y_a->value(5.0),
-                -sx_base.x_a->derivative(5.0) / alpha, 1e-12);
-    clearPulseLibraryCache();
-}
-
-TEST(PulseOptTest, PerQubitLibrariesFollowTheSnapshot)
-{
-    clearPulseLibraryCache();
-    // Uniform device: every qubit aliases one variant.
-    Rng rng(3);
-    const dev::Device uniform(graph::gridTopology(2, 2),
-                              dev::DeviceParams{}, rng);
-    auto libs =
-        perQubitPulseLibraries(PulseMethod::Gaussian, uniform);
-    ASSERT_EQ(int(libs.size()), uniform.numQubits());
-    for (const auto &lib : libs)
-        EXPECT_EQ(lib.get(), libs[0].get());
-
-    // Heterogeneous snapshot: distinct anharmonicities get distinct
-    // variants, equal ones still share.
-    dev::Calibration calib = uniform.calibration();
-    calib.anharmonicity[1] = -mhz(290.0);
-    calib.anharmonicity[2] = -mhz(290.0);
-    const dev::Device hetero = uniform.withCalibration(calib);
-    auto hlibs =
-        perQubitPulseLibraries(PulseMethod::Gaussian, hetero);
-    EXPECT_NE(hlibs[1].get(), hlibs[0].get());
-    EXPECT_EQ(hlibs[2].get(), hlibs[1].get());
-    EXPECT_EQ(hlibs[3].get(), hlibs[0].get());
-    clearPulseLibraryCache();
-}
-
-TEST(PulseOptTest, DeviceCalibratedObjectiveReadsSnapshotZz)
-{
-    // The calibrated defaults read the snapshot's per-edge ZZ rates:
-    // lambda_intra becomes the mean coupling, and the OptCtrl sample
-    // grid scales with it.
-    Rng rng(8);
-    const dev::Device device(graph::gridTopology(2, 3),
-                             dev::DeviceParams{}, rng);
-    const PulseOptConfig cfg = defaultPulseOptConfig(
-        PulseMethod::Pert, pulse::PulseGate::RZX, device);
-    EXPECT_DOUBLE_EQ(cfg.objective.lambda_intra,
-                     device.calibration().meanZz());
-
-    const PulseOptConfig base = defaultPulseOptConfig(
-        PulseMethod::OptCtrl, pulse::PulseGate::SX);
-    const PulseOptConfig scaled = defaultPulseOptConfig(
-        PulseMethod::OptCtrl, pulse::PulseGate::SX, device);
-    ASSERT_EQ(scaled.objective.lambda_samples.size(),
-              base.objective.lambda_samples.size());
-    const double ratio = device.calibration().meanZz() / khz(200.0);
-    for (size_t i = 0; i < base.objective.lambda_samples.size(); ++i)
-        EXPECT_DOUBLE_EQ(scaled.objective.lambda_samples[i],
-                         base.objective.lambda_samples[i] * ratio);
 }
 
 TEST(PulseOptTest, LibraryMemoIsThreadSafe)

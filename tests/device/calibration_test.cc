@@ -338,16 +338,5 @@ TEST(CalibrationTest, WithCoherenceReturnsNewDeviceValue)
     EXPECT_EQ(lossy.couplings(), base.couplings());
 }
 
-TEST(CalibrationTest, MeanZzMatchesCouplings)
-{
-    Rng rng(6);
-    const Calibration calib =
-        Calibration::sampled(grid23(), DeviceParams{}, rng);
-    double sum = 0.0;
-    for (double v : calib.zz)
-        sum += v;
-    EXPECT_DOUBLE_EQ(calib.meanZz(), sum / double(calib.zz.size()));
-}
-
 } // namespace
 } // namespace qzz::dev
