@@ -180,11 +180,12 @@ TEST(CompilerTest, SchedulePassMatchesCoreSchedule)
     }
 }
 
-TEST(CompilerTest, InjectedLibraryReplacesMethodLibrary)
+TEST(CompilerTest, FixedPulseProviderInjectsLibrary)
 {
-    // DD composition: every gate comes from the injected
-    // DD-substituted library, not from the method's own (DCG would
-    // stretch SX to 120 ns), and no process-global cache is involved.
+    // DD composition: every gate comes from the fixed DD-substituted
+    // library injected through CompilerBuilder::pulseLibrary(), not
+    // from the method's own (DCG would stretch SX to 120 ns), and no
+    // process-global cache is involved.
     auto dev = device23();
     ckt::QuantumCircuit c(6);
     c.sx(0);

@@ -199,6 +199,34 @@ TEST(DdSubstitutionTest, WorksWithoutTwoQubitProgram)
     EXPECT_FALSE(dd.has(pulse::PulseGate::RZX));
 }
 
+TEST(DdSubstitutionTest, SubstitutedLibraryCompilesViaProvider)
+{
+    // End to end through the injection seam
+    // (CompilerBuilder::pulseLibrary()): DD identities lengthen the
+    // supplemented idle slots of a ZZXSched schedule.
+    auto dev = device23();
+    ckt::QuantumCircuit c(6);
+    c.sx(0);
+    CompileOptions opt;
+    opt.pulse = PulseMethod::Gaussian;
+    opt.sched = SchedPolicy::Zzx;
+    Compiler compiler =
+        CompilerBuilder(dev)
+            .options(opt)
+            .pulseLibrary(std::make_shared<const pulse::PulseLibrary>(
+                substituteIdentity(pulse::PulseLibrary::gaussian(),
+                                   dcgIdentity())))
+            .build();
+    auto result = compiler.compile(c);
+    ASSERT_TRUE(result.ok());
+    int supplemented = 0;
+    for (const Layer &layer : result.program.schedule.layers)
+        for (const ScheduledGate &sg : layer.gates)
+            supplemented += sg.supplemented ? 1 : 0;
+    EXPECT_GT(supplemented, 0);
+    EXPECT_DOUBLE_EQ(result.program.schedule.executionTime(), 40.0);
+}
+
 TEST(DdSubstitutionTest, ReplacesIdentityOnly)
 {
     pulse::PulseLibrary base = pulse::PulseLibrary::gaussian();
