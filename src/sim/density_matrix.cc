@@ -4,6 +4,7 @@
 #include "sim/density_matrix.h"
 
 #include <cmath>
+#include <numeric>
 
 #include "common/error.h"
 
@@ -49,7 +50,12 @@ DensityMatrix::apply2Q(const la::Mat4 &u, int q_hi, int q_lo)
 void
 DensityMatrix::applyPhaseVector(const la::CVector &p)
 {
-    multiplyPhase(entries(), dim(), p, 0);
+    require(p.size() == dim(), "applyPhaseVector: table size mismatch");
+    std::vector<size_t> identity(dim());
+    std::iota(identity.begin(), identity.end(), size_t(0));
+    std::vector<cplx> table(dim() * dim());
+    phaseTable(table, dim(), identity, identity, p);
+    multiplyEntries(entries(), table);
 }
 
 void

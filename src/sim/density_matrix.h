@@ -13,11 +13,17 @@
  * column strides, and one qubit's Kraus step is one pass.  No kernel
  * allocates or runs on the pool.
  *
- * The schedule simulator (sim/pulse_sim.h) splits registers of 5 or
- * more qubits on the idle qubits of each layer into XOR classes, flat
- * arrays of blocks that the same kernels run on across the shared
- * pool: the simulator's one level of parallelism, bit-identical to the
- * whole register at every size.  The kernel-equivalence suite
+ * The schedule simulator (sim/pulse_sim.h) runs each qubit's Kraus
+ * step in two parts: an entrywise scale S, folded into the per-entry
+ * tables of the ZZ phase (phaseTable, scaleTable, multiplyEntries),
+ * and damping's transfer rho00 += gamma rho11, the one part that
+ * mixes entries (transferPopulation).
+ *
+ * The simulator also splits registers of 5 or more qubits on the idle
+ * qubits of each layer into XOR classes, flat arrays of blocks that
+ * the same kernels run on across the shared pool: the simulator's one
+ * level of parallelism, bit-identical to the whole register at every
+ * size.  The kernel-equivalence suite
  * (tests/sim/kernel_equivalence_test.cc) pins every kernel to a dense
  * 2^n x 2^n oracle within 1e-10.  See docs/performance.md.
  */
@@ -26,6 +32,7 @@
 #define QZZ_SIM_DENSITY_MATRIX_H
 
 #include <span>
+#include <vector>
 
 #include "linalg/matrix.h"
 #include "sim/state_vector.h"
@@ -58,7 +65,8 @@ class DensityMatrix
     void applyRz(int q, double theta);
 
     /** rho[r,c] *= p[r] * conj(p[c]) for a unit-modulus phase vector
-     *  (p[i] = exp(-i E[i] dt), precomputed by the caller). */
+     *  (p[i] = exp(-i E[i] dt), precomputed by the caller): the
+     *  phaseTable() of the whole matrix, then multiplyEntries(). */
     void applyPhaseVector(const la::CVector &p);
 
     /** Amplitude damping with excited-state decay probability
@@ -123,10 +131,32 @@ void conjugate1Q(std::span<la::cplx> blocks, size_t cols, const la::Mat2 &u,
 void conjugate2Q(std::span<la::cplx> blocks, size_t cols, const la::Mat4 &u,
                  size_t s_hi, size_t s_lo);
 
-/** Block a: rho[r, c] *= p[a * cols + r] * conj(p[(a ^ x) * cols + c]),
- *  with one phase entry per row of @p blocks (x = 0 for one block). */
-void multiplyPhase(std::span<la::cplx> blocks, size_t cols,
-                   std::span<const la::cplx> p, size_t x);
+/**
+ * The ZZ phase table of a layer part: entry (r, c) of block a is
+ * p[rows[a * cols + r]] * conj(p[columns[a * cols + c]]), from the
+ * full-register row and column of that entry (@p rows and
+ * @p columns hold one index per row of @p out).  Every entry is
+ * computed by this one loop, so a part gets the bits the whole matrix
+ * gets.
+ */
+void phaseTable(std::span<la::cplx> out, size_t cols,
+                std::span<const size_t> rows,
+                std::span<const size_t> columns,
+                std::span<const la::cplx> p);
+
+/**
+ * The entrywise scale S of one step's Kraus channel on every qubit,
+ * indexed as phaseTable(): the product, qubit 0 first, of 1 on a
+ * qubit's 00 population, 1 - gamma[q] on its 11 population and
+ * sqrt(1 - gamma[q]), then keep[q], on its coherences.  After the
+ * transfers of every qubit it is the sweep of
+ * DensityMatrix::applyDecoherence.
+ */
+void scaleTable(std::span<la::cplx> out, size_t cols,
+                std::span<const size_t> rows,
+                std::span<const size_t> columns,
+                const std::vector<double> &gamma,
+                const std::vector<double> &keep);
 
 /** One qubit's Kraus step in every block, on the qubit at stride
  *  @p s: damping with decay probability @p gamma, then dephasing with
@@ -134,12 +164,17 @@ void multiplyPhase(std::span<la::cplx> blocks, size_t cols,
 void decohere(std::span<la::cplx> blocks, size_t cols, size_t s,
               double gamma, double keep);
 
-/** The same step for a split qubit, which indexes the blocks: the
- *  blocks @p stride entries apart pair up entry by entry.  They hold
- *  the qubit's populations (b00, b11), or with @p coherences its
- *  coherences (b01, b10). */
-void decohereAcross(std::span<la::cplx> blocks, size_t stride,
-                    bool coherences, double gamma, double keep);
+/** Damping's transfer b00 += gamma * b11 in every block, on the qubit
+ *  at stride @p s; nothing when gamma is 0. */
+void transferPopulation(std::span<la::cplx> blocks, size_t cols, size_t s,
+                        double gamma);
+
+/** The same transfer for a split qubit, which indexes the blocks: the
+ *  blocks @p stride entries apart pair up entry by entry as its
+ *  populations (b00, b11).  Only an XOR class that reads 0 on the
+ *  qubit holds them. */
+void transferPopulationAcross(std::span<la::cplx> blocks, size_t stride,
+                              double gamma);
 
 /** @} */
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <variant>
 
@@ -176,7 +177,7 @@ struct LayerTimes
  *  matrix on a fully coherent device. */
 using NoChannel = std::monostate;
 
-/** The per-step T1/T2 Kraus sweep: decay probability gamma[q] and
+/** The per-step T1/T2 Kraus channel: decay probability gamma[q] and
  *  dephasing retention keep[q] of every qubit over one step. */
 struct Decoherence
 {
@@ -216,39 +217,67 @@ decoherence(const dev::Device &device, double dt)
     return d;
 }
 
+/** The per-entry tables one part's step loop multiplies by, each with
+ *  one entry per entry of the part.  @c half is the ZZ half-step and
+ *  @c full the full step of merged steps.  With a Kraus channel,
+ *  @c scale is its entrywise part S and @c lead = half * S, the
+ *  leading multiply of every step after the first. */
+struct StepTables
+{
+    std::span<const cplx> half, full, lead, scale;
+};
+
+/** The half- and full-step phase vectors of a layer over @p energies;
+ *  the full step only when steps merge. */
+struct PhaseVectors
+{
+    la::CVector half, full;
+
+    PhaseVectors(const std::vector<double> &energies, const LayerPlan &plan,
+                 bool merge)
+        : half(phaseVector(energies, plan.dt / 2.0)),
+          full(merge && plan.steps > 1 ? phaseVector(energies, plan.dt)
+                                       : la::CVector{})
+    {
+    }
+};
+
+std::span<cplx>
+entries(StateVector &psi)
+{
+    return psi.amplitudes();
+}
+
 /**
  * The Strang step loop of one layer on one register: the whole
  * register, or one part of a split layer (a state-vector
- * sub-register, a density-matrix XorClass) with @p energies its
- * slice of the ZZ table.  Phases are diagonal, so without a channel
- * between steps the trailing ZZ half-step of step s and the leading
- * one of step s+1 merge into one full-step sweep: steps+1 phase
- * applications instead of 2*steps.  A Kraus channel runs after every trailing
- * half-step and keeps the halves apart.
+ * sub-register, a density-matrix XorClass) with @p tab its tables.
+ * Phases are diagonal, so without a channel between steps the
+ * trailing ZZ half-step of step s and the leading one of step s+1
+ * merge into one full-step sweep: steps+1 phase applications instead
+ * of 2*steps.  A Kraus channel D = S T keeps the halves apart.  Its
+ * transfers T run after every trailing half-step.  Its entrywise
+ * scale S is diagonal, so it commutes with the ZZ phase and with the
+ * transfers of the other qubits: it rides the next step's leading
+ * multiply (@c lead), and one S pass closes the layer.
  */
 template <class Reg, class Channel>
 void
-runSteps(Reg &reg, const std::vector<double> &energies,
-         const LayerPlan &plan, const std::vector<StepJob> &jobs,
+runSteps(Reg &reg, const StepTables &tab, const LayerPlan &plan,
+         const std::vector<StepJob> &jobs,
          [[maybe_unused]] const Channel &channel, StepTimers &t)
 {
     constexpr bool merge = std::is_same_v<Channel, NoChannel>;
     const size_t steps = plan.steps;
-    const la::CVector p_half = phaseVector(energies, plan.dt / 2.0);
-    const la::CVector p_full = merge && steps > 1
-                                   ? phaseVector(energies, plan.dt)
-                                   : la::CVector{};
-    const auto phase = [&](const la::CVector &p) {
-        t.phase.start();
-        reg.applyPhaseVector(p);
-        t.phase.stop();
+    const auto multiply = [&](KernelTimer &timer, std::span<const cplx> p) {
+        timer.start();
+        multiplyEntries(entries(reg), p);
+        timer.stop();
     };
 
-    if constexpr (merge)
-        phase(p_half);
     for (size_t s = 0; s < steps; ++s) {
-        if constexpr (!merge)
-            phase(p_half);
+        if (s == 0 || !merge)
+            multiply(t.phase, s == 0 ? tab.half : tab.lead);
         const StepOp *op = &plan.ops[s * kKinds];
         t.gate.start();
         for (const StepJob &j : jobs) {
@@ -259,13 +288,15 @@ runSteps(Reg &reg, const std::vector<double> &energies,
                 reg.apply2Q(*u.u2, j.q0, j.q1);
         }
         t.gate.stop();
-        phase(merge && s + 1 < steps ? p_full : p_half);
+        multiply(t.phase, merge && s + 1 < steps ? tab.full : tab.half);
         if constexpr (!merge) {
             t.decoh.start();
-            reg.applyDecoherence(channel.gamma, channel.keep);
+            reg.transferPopulations(channel.gamma);
             t.decoh.stop();
         }
     }
+    if constexpr (!merge)
+        multiply(t.decoh, tab.scale);
 }
 
 /** Full-register index of entry @p l of part @p part: the split
@@ -337,33 +368,61 @@ splitLayer(const std::vector<StepJob> &jobs, int n, bool allowed)
  * qubits, block a after block a - 1, so the class is one flat array
  * for the block kernels (sim/density_matrix.h).  A layer that leaves
  * the split qubits idle keeps r ^ c fixed on them in every operation
- * (docs/performance.md), so a class runs the whole layer alone.  It
- * offers runSteps() the register interface.
+ * (docs/performance.md), so a class runs the whole layer alone.  With
+ * m = 0 the one class is the whole matrix.  It offers runSteps() the
+ * register interface.
  */
 class XorClass
 {
   public:
-    XorClass(const DensityMatrix &rho, const std::vector<double> &zz,
-             const Split &split, size_t x)
-        : split_(split), x_(x), cols_(rho.dim() >> split.m),
-          entries_(rho.dim() * cols_), energies_(rho.dim())
+    XorClass(const DensityMatrix &rho, const Split &split, size_t x)
+        : split_(split), x_(x), d_(rho.dim()), cols_(d_ >> split.m),
+          index_(2 * d_), entries_(d_ * cols_)
     {
+        for (size_t r = 0; r < d_; ++r) {
+            const size_t a = r / cols_;
+            index_[r] = spliceIndex(r % cols_, a, split_.pos, split_.m);
+            index_[d_ + r] =
+                spliceIndex(r % cols_, a ^ x_, split_.pos, split_.m);
+        }
         const cplx *full = rho.matrix().data();
-        walk(rho.dim(), [&](size_t k, size_t i) { entries_[i] = full[k]; });
-        for (size_t i = 0; i < energies_.size(); ++i)
-            energies_[i] = zz[splice(i % cols_, i / cols_)];
+        walk([&](size_t k, size_t i) { entries_[i] = full[k]; });
     }
 
     void
     scatter(DensityMatrix &rho) const
     {
         cplx *full = rho.matrix().data();
-        walk(rho.dim(), [&](size_t k, size_t i) { full[k] = entries_[i]; });
+        walk([&](size_t k, size_t i) { full[k] = entries_[i]; });
     }
 
-    /** Block a's row energies at offset a * 2^(n - m), so one phase
-     *  table holds every block's row and column slice. */
-    const std::vector<double> &energies() const { return energies_; }
+    std::span<cplx> entries() { return entries_; }
+
+    /** The layer's tables of a coherent device, in one buffer. */
+    StepTables
+    tables(const PhaseVectors &p, NoChannel)
+    {
+        tables_.resize((p.full.empty() ? 1 : 2) * entries_.size());
+        phaseTable(table(0), cols_, rows(), columns(), p.half);
+        if (p.full.empty())
+            return {table(0), {}, {}, {}};
+        phaseTable(table(1), cols_, rows(), columns(), p.full);
+        return {table(0), table(1), {}, {}};
+    }
+
+    /** The layer's tables with a Kraus channel, in one buffer. */
+    StepTables
+    tables(const PhaseVectors &p, const Decoherence &d)
+    {
+        tables_.resize(3 * entries_.size());
+        const std::span<cplx> half = table(0), lead = table(1),
+                              scale = table(2);
+        phaseTable(half, cols_, rows(), columns(), p.half);
+        scaleTable(scale, cols_, rows(), columns(), d.gamma, d.keep);
+        std::ranges::copy(half, lead.begin());
+        multiplyEntries(lead, scale);
+        return {half, {}, lead, scale};
+    }
 
     void
     apply1Q(const la::Mat2 &u, int q)
@@ -377,70 +436,90 @@ class XorClass
         conjugate2Q(entries_, cols_, u, stride(q_hi), stride(q_lo));
     }
 
+    /** Damping's transfer of every qubit in the whole register's
+     *  order, qubit by qubit ascending.  A split qubit pairs the blocks
+     *  that differ in its bit, in a class that reads 0 there: only
+     *  that class holds the qubit's populations.  Any other qubit acts
+     *  inside every block. */
     void
-    applyPhaseVector(const la::CVector &p)
-    {
-        multiplyPhase(entries_, cols_, p, x_);
-    }
-
-    /** The Kraus sweep in the whole register's order, qubit by qubit
-     *  ascending: a split qubit pairs the blocks that differ in its
-     *  bit, any other qubit acts inside every block. */
-    void
-    applyDecoherence(const std::vector<double> &gamma,
-                     const std::vector<double> &keep)
+    transferPopulations(const std::vector<double> &gamma)
     {
         for (size_t q = 0; q < split_.local.size(); ++q) {
             const int l = split_.local[q];
             if (l >= 0) {
-                decohere(entries_, cols_, stride(l), gamma[q], keep[q]);
+                transferPopulation(entries_, cols_, stride(l), gamma[q]);
                 continue;
             }
             const size_t bit = size_t(1) << (-1 - l);
-            decohereAcross(entries_, bit * cols_ * cols_, x_ & bit, gamma[q],
-                           keep[q]);
+            if (!(x_ & bit))
+                transferPopulationAcross(entries_, bit * cols_ * cols_,
+                                         gamma[q]);
         }
     }
 
   private:
     const Split &split_;
     size_t x_;
+    size_t d_;
     size_t cols_;
+    /** The full-register row of every class row, then the
+     *  full-register column of every column of every block. */
+    std::vector<size_t> index_;
     std::vector<cplx> entries_;
-    std::vector<double> energies_;
+    std::vector<cplx> tables_;
 
     size_t stride(int q) const { return cols_ >> (q + 1); }
 
-    size_t
-    splice(size_t l, size_t a) const
+    std::span<const size_t> rows() const { return {index_.data(), d_}; }
+    std::span<const size_t> columns() const
     {
-        return spliceIndex(l, a, split_.pos, split_.m);
+        return {index_.data() + d_, d_};
     }
 
-    /** Call @p f(k, i) for entry k of a d x d rho and entry i of the
-     *  class holding it, in class order: class row r is row r % cols_
-     *  of block r / cols_. */
+    std::span<cplx>
+    table(size_t t)
+    {
+        return std::span<cplx>(tables_).subspan(t * entries_.size(),
+                                                entries_.size());
+    }
+
+    /** Call @p f(k, i) for entry k of rho and entry i of the class
+     *  holding it, in class order: class row r is row r % cols_ of
+     *  block r / cols_. */
     template <class F>
     void
-    walk(size_t d, F f) const
+    walk(F f) const
     {
-        for (size_t r = 0, i = 0; r < d; ++r) {
-            const size_t a = r / cols_;
-            const size_t row = splice(r % cols_, a) * d;
+        for (size_t r = 0, i = 0; r < d_; ++r) {
+            const size_t row = index_[r] * d_;
+            const size_t *col = index_.data() + d_ + r / cols_ * cols_;
             for (size_t c = 0; c < cols_; ++c, ++i)
-                f(row + splice(c, a ^ x_), i);
+                f(row + col[c], i);
         }
     }
 };
 
+std::span<cplx>
+entries(XorClass &cls)
+{
+    return cls.entries();
+}
+
 /** Sub-register @p part of a state vector split on @p split: its
  *  amplitudes and its slice of the ZZ table are gathered, run through
- *  @p steps and scattered back. */
+ *  @p steps with the slice's phase vectors and scattered back.  An
+ *  unsplit register runs in place. */
 template <class Steps>
 void
-runPart(StateVector &psi, const std::vector<double> &zz, const Split &split,
-        size_t part, const Steps &steps)
+runPart(StateVector &psi, const std::vector<double> &zz,
+        const LayerPlan &plan, const Split &split, size_t part, NoChannel,
+        const Steps &steps)
 {
+    if (split.m == 0) {
+        const PhaseVectors p(zz, plan, true);
+        steps(psi, StepTables{p.half, p.full, {}, {}}, part);
+        return;
+    }
     StateVector sub(psi.numQubits() - split.m);
     std::vector<double> energies(sub.dim());
     cplx *amps = psi.amplitudes().data();
@@ -449,19 +528,23 @@ runPart(StateVector &psi, const std::vector<double> &zz, const Split &split,
         sub.amplitudes()[l] = amps[k];
         energies[l] = zz[k];
     }
-    steps(sub, energies, part);
+    const PhaseVectors p(energies, plan, true);
+    steps(sub, StepTables{p.half, p.full, {}, {}}, part);
     for (size_t l = 0; l < sub.dim(); ++l)
         amps[spliceIndex(l, part, split.pos, split.m)] = sub.amplitudes()[l];
 }
 
-/** XOR class @p part of a density matrix split on @p split, likewise. */
-template <class Steps>
+/** XOR class @p part of a density matrix split on @p split, likewise,
+ *  with its tables built from the whole register's phase vectors. */
+template <class Channel, class Steps>
 void
 runPart(DensityMatrix &rho, const std::vector<double> &zz,
-        const Split &split, size_t part, const Steps &steps)
+        const LayerPlan &plan, const Split &split, size_t part,
+        const Channel &channel, const Steps &steps)
 {
-    XorClass cls(rho, zz, split, part);
-    steps(cls, cls.energies(), part);
+    XorClass cls(rho, split, part);
+    const PhaseVectors p(zz, plan, std::is_same_v<Channel, NoChannel>);
+    steps(cls, cls.tables(p, channel), part);
     cls.scatter(rho);
 }
 
@@ -473,7 +556,7 @@ withChannel(const StateVector &, const dev::Device &, double, const F &f)
     f(NoChannel{});
 }
 
-/** A density matrix takes the Kraus sweep whenever the device has a
+/** A density matrix takes the Kraus channel whenever the device has a
  *  finite T1 or T2. */
 template <class F>
 void
@@ -491,7 +574,8 @@ withChannel(const DensityMatrix &, const dev::Device &device, double dt,
  * entries on, the layer splits on its idle qubits into 2^m parts —
  * sub-registers of a state vector, XOR classes of a density matrix —
  * that each run the whole step loop in one common::parallelFor()
- * block, with no barrier.  m = 0 runs the loop in place.
+ * block, with no barrier.  m = 0 runs one part: the state vector in
+ * place, the density matrix as its one class.
  */
 template <class Reg>
 LayerTimes
@@ -507,20 +591,22 @@ integrate(Reg &reg, const std::vector<double> &zz, const LayerPlan &plan,
     bool kraus = false;
     withChannel(reg, device, plan.dt, [&](const auto &channel) {
         kraus = !std::is_same_v<std::decay_t<decltype(channel)>, NoChannel>;
-        const auto steps = [&](auto &r, const std::vector<double> &energies,
-                               size_t part) {
+        const auto steps = [&](auto &r, const StepTables &tab, size_t part) {
             StepTimers t(tm);
-            runSteps(r, energies, plan, split.jobs, channel, t);
+            runSteps(r, tab, plan, split.jobs, channel, t);
             phase_ns[part] = t.phase.ns();
             gate_ns[part] = t.gate.ns();
             decoh_ns[part] = t.decoh.ns();
         };
+        const auto run = [&](size_t part) {
+            runPart(reg, zz, plan, split, part, channel, steps);
+        };
         if (split.m == 0)
-            steps(reg, zz, 0);
+            run(0);
         else
             common::parallelFor(0, parts, 1, [&](size_t lo, size_t hi) {
                 for (size_t part = lo; part < hi; ++part)
-                    runPart(reg, zz, split, part, steps);
+                    run(part);
             });
     });
 

@@ -15,8 +15,14 @@
  * 2x2, etc.).  When no channel sits between two steps, the trailing
  * half-step of one and the leading half-step of the next merge into
  * one full-step sweep.  A density matrix on a device with a finite
- * T1 or T2 takes the Kraus sweep after each trailing half-step
- * instead.
+ * T1 or T2 keeps the halves apart and splits each step's Kraus
+ * channel in two.  Damping's transfer rho00 += gamma rho11 runs per
+ * qubit after each trailing half-step.  The entrywise rest S (decay
+ * of the excited population, damping and dephasing of the
+ * coherences) is diagonal on vec(rho), so it is folded into the next
+ * step's leading half-step table, and one S pass closes the layer.
+ * Every phase multiply is one complex multiply per entry against a
+ * table built once per layer.
  *
  * Qubits without pulses simply sit in the ZZ bath — exactly the
  * physics the paper's scheduling fights.
@@ -31,8 +37,9 @@
  * r ^ c of an entry rho[r, c] fixed on those bits, so the 2^m XOR
  * classes fall apart instead.  A class is one flat array of 2^m
  * blocks, and the density-matrix kernels run on it as on a whole
- * matrix.  Each part integrates the whole layer on its own across the
- * shared pool, with no barrier between steps; this split is the
+ * matrix; it builds its tables from each entry's full-register row
+ * and column.  Each part integrates the whole layer on its own across
+ * the shared pool, with no barrier between steps; this split is the
  * simulator's only parallelism, and the register kernels themselves
  * are sequential loops.  Every entry sees the same kernels, in the
  * same order, with the same phases, so results are bit-identical to

@@ -12,6 +12,7 @@
 #define QZZ_SIM_STATE_VECTOR_H
 
 #include <array>
+#include <span>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -62,6 +63,11 @@ class StateVector
 
     int bitPos(int q) const { return n_ - 1 - q; }
 };
+
+/** m[i] *= t[i] for every i: the phase step of both registers, one
+ *  complex multiply per entry.  Defined in sim/state_vector_kernels.cc
+ *  with the other hot loops. */
+void multiplyEntries(std::span<la::cplx> m, std::span<const la::cplx> t);
 
 /**
  * Per-basis-state ZZ energies: E[k] = sum_edges lambda_e z_u(k) z_v(k),

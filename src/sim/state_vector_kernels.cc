@@ -14,6 +14,7 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/error.h"
@@ -85,9 +86,10 @@ forQuads(cplx *m, size_t size, size_t s_hi, size_t s_lo, F f)
     const size_t s_max = std::max(s_hi, s_lo);
     // Visit each quadruple from its 00 member: blocks of 2*s_max,
     // runs of 2*s_min inside them, then the contiguous s_min indices
-    // with both bits clear.  With s_min == 1 that innermost run is one
-    // index long, so the pairs get loops of their own with a constant
-    // offset between a quadruple's adjacent members.
+    // with both bits clear.  With s_min == 1 or 2 that innermost run
+    // is one or two indices long, so those pairs get loops of their
+    // own with a constant offset between a quadruple's adjacent
+    // members.
     if (s_min == 1) {
         for (size_t hi = 0; hi < size; hi += 2 * s_max) {
             cplx *p = m + hi;
@@ -97,6 +99,22 @@ forQuads(cplx *m, size_t size, size_t s_hi, size_t s_lo, F f)
             else
                 for (size_t j = 0; j < s_max; j += 2)
                     f(p[j], p[j + s_lo], p[j + 1], p[j + s_lo + 1]);
+        }
+        return;
+    }
+    if (s_min == 2) {
+        for (size_t hi = 0; hi < size; hi += 2 * s_max) {
+            cplx *p = m + hi;
+            if (s_lo == 2)
+                for (size_t j = 0; j < s_max; j += 4) {
+                    f(p[j], p[j + 2], p[j + s_hi], p[j + s_hi + 2]);
+                    f(p[j + 1], p[j + 3], p[j + s_hi + 1], p[j + s_hi + 3]);
+                }
+            else
+                for (size_t j = 0; j < s_max; j += 4) {
+                    f(p[j], p[j + s_lo], p[j + 2], p[j + s_lo + 2]);
+                    f(p[j + 1], p[j + s_lo + 1], p[j + 3], p[j + s_lo + 3]);
+                }
         }
         return;
     }
@@ -247,14 +265,21 @@ StateVector::applyPhaseVector(const la::CVector &p)
 {
     require(p.size() == amps_.size(),
             "applyPhaseVector: table size mismatch");
-    // Local pointers: writes through the member vector would force
-    // the compiler to re-read size()/data() every iteration (the
-    // store may alias the vector object), defeating vectorization.
-    const size_t dim = amps_.size();
-    cplx *amps = amps_.data();
-    const cplx *w = p.data();
-    for (size_t k = 0; k < dim; ++k)
-        amps[k] = cmul(amps[k], w[k]);
+    multiplyEntries(amps_, p);
+}
+
+void
+multiplyEntries(std::span<cplx> m, std::span<const cplx> t)
+{
+    require(t.size() == m.size(), "multiplyEntries: table size mismatch");
+    // Local pointers and extent: the loop reads nothing through a
+    // container, so the compiler need not re-read its size or data
+    // after each store.
+    const size_t size = m.size();
+    cplx *e = m.data();
+    const cplx *w = t.data();
+    for (size_t i = 0; i < size; ++i)
+        e[i] = cmul(e[i], w[i]);
 }
 
 void
@@ -273,20 +298,59 @@ conjugate2Q(std::span<cplx> blocks, size_t cols, const la::Mat4 &u,
 }
 
 void
-multiplyPhase(std::span<cplx> blocks, size_t cols,
-              std::span<const cplx> p, size_t x)
+phaseTable(std::span<cplx> out, size_t cols, std::span<const size_t> rows,
+           std::span<const size_t> columns, std::span<const cplx> p)
 {
-    const size_t rows = blocks.size() / cols;
-    require(p.size() == rows, "multiplyPhase: table size");
-    cplx *m = blocks.data();
-    const cplx *pr = p.data();
-    for (size_t a = 0; a < rows / cols; ++a) {
-        const cplx *pc = pr + (a ^ x) * cols;
-        for (size_t r = a * cols; r < (a + 1) * cols; ++r) {
-            const cplx p_r = pr[r];
-            cplx *row = m + r * cols;
-            for (size_t c = 0; c < cols; ++c)
-                row[c] = cmul(row[c], cmul(p_r, std::conj(pc[c])));
+    require(out.size() == rows.size() * cols &&
+                columns.size() == rows.size(),
+            "phaseTable: table size");
+    for (size_t r = 0; r < rows.size(); ++r) {
+        const cplx p_r = p[rows[r]];
+        const std::span<const size_t> cs = columns.subspan(r / cols * cols,
+                                                           cols);
+        const std::span<cplx> row = out.subspan(r * cols, cols);
+        for (size_t c = 0; c < cols; ++c)
+            row[c] = cmul(p_r, std::conj(p[cs[c]]));
+    }
+}
+
+void
+scaleTable(std::span<cplx> out, size_t cols, std::span<const size_t> rows,
+           std::span<const size_t> columns, const std::vector<double> &gamma,
+           const std::vector<double> &keep)
+{
+    constexpr size_t kMaxQubits = 16;
+    const size_t n = gamma.size();
+    require(out.size() == rows.size() * cols &&
+                columns.size() == rows.size(),
+            "scaleTable: table size");
+    require(keep.size() == n && n <= kMaxQubits,
+            "scaleTable: one factor pair per qubit");
+    // f[q][2 * r_q + c_q]: qubit q's damping and dephasing factors on
+    // an entry whose row reads r_q and whose column reads c_q there,
+    // multiplied in one after the other as decohere() applies them.
+    using Factors = std::array<double, 2>;
+    std::array<std::array<Factors, 4>, kMaxQubits> f;
+    for (size_t q = 0; q < n; ++q) {
+        const Factors coherence = {std::sqrt(1.0 - gamma[q]), keep[q]};
+        f[q] = {Factors{1.0, 1.0}, coherence, coherence,
+                Factors{1.0 - gamma[q], 1.0}};
+    }
+    for (size_t r = 0; r < rows.size(); ++r) {
+        const size_t row_bits = rows[r];
+        const std::span<const size_t> cs = columns.subspan(r / cols * cols,
+                                                           cols);
+        const std::span<cplx> row = out.subspan(r * cols, cols);
+        for (size_t c = 0; c < cols; ++c) {
+            double s = 1.0;
+            for (size_t q = 0; q < n; ++q) {
+                const size_t bit = n - 1 - q;
+                const auto [damp, dephase] =
+                    f[q][((row_bits >> bit) & 1) * 2 + ((cs[c] >> bit) & 1)];
+                s *= damp;
+                s *= dephase;
+            }
+            row[c] = {s, 0.0};
         }
     }
 }
@@ -312,28 +376,23 @@ decohere(std::span<cplx> blocks, size_t cols, size_t s, double g, double kp)
 }
 
 void
-decohereAcross(std::span<cplx> blocks, size_t stride, bool coherences,
-               double g, double kp)
+transferPopulation(std::span<cplx> blocks, size_t cols, size_t s, double g)
 {
-    withKraus(g, kp, [&](auto k) {
-        if (coherences)
-            forPairs(blocks.data(), blocks.size(), stride,
-                     [k](cplx &p01, cplx &p10) {
-                         cplx b01 = p01, b10 = p10;
-                         k.coherence(b01);
-                         k.coherence(b10);
-                         p01 = b01;
-                         p10 = b10;
-                     });
-        else
-            forPairs(blocks.data(), blocks.size(), stride,
-                     [k](cplx &p00, cplx &p11) {
-                         cplx b00 = p00, b11 = p11;
-                         k.populations(b00, b11);
-                         p00 = b00;
-                         p11 = b11;
-                     });
-    });
+    if (g == 0.0)
+        return;
+    // The (row pair, column pair) quadruple of decohere(), of which
+    // only the populations b00 and b11 take part.
+    forQuads(blocks.data(), blocks.size(), s * cols, s,
+             [g](cplx &p00, cplx &, cplx &, cplx &p11) { p00 += g * p11; });
+}
+
+void
+transferPopulationAcross(std::span<cplx> blocks, size_t stride, double g)
+{
+    if (g == 0.0)
+        return;
+    forPairs(blocks.data(), blocks.size(), stride,
+             [g](cplx &p00, cplx &p11) { p00 += g * p11; });
 }
 
 } // namespace qzz::sim

@@ -269,6 +269,38 @@ sameBits(const DensityMatrix &a, const DensityMatrix &b)
     return sameBits(entries(a), entries(b));
 }
 
+std::span<cplx>
+entries(DensityMatrix &rho)
+{
+    return {rho.matrix().data(), rho.dim() * rho.dim()};
+}
+
+/** 0, 1, ..., d - 1: the row and column index of a whole matrix. */
+std::vector<size_t>
+identityIndex(size_t d)
+{
+    std::vector<size_t> index(d);
+    for (size_t i = 0; i < d; ++i)
+        index[i] = i;
+    return index;
+}
+
+/** The simulator's split step on a whole matrix: damping's transfer
+ *  on every qubit, ascending, then the entrywise scale S. */
+void
+transfersThenScale(DensityMatrix &rho, const std::vector<double> &gamma,
+                   const std::vector<double> &keep)
+{
+    const int n = rho.numQubits();
+    const size_t d = rho.dim();
+    for (int q = 0; q < n; ++q)
+        transferPopulation(entries(rho), d, d >> (q + 1), gamma[size_t(q)]);
+    const std::vector<size_t> index = identityIndex(d);
+    std::vector<cplx> scale(d * d);
+    scaleTable(scale, d, index, index, gamma, keep);
+    multiplyEntries(entries(rho), scale);
+}
+
 /** A density matrix whose entry (r, c) is the exact value (k + 1) - k i,
  *  k = r * 2^n + c. */
 DensityMatrix
@@ -351,6 +383,28 @@ TEST(KernelEquivalence, FusedDecoherenceMatchesSequentialChannels)
         rho.applyDecoherence(gamma, keep);
         oracleDecoherence(gamma, keep, want);
         EXPECT_LE(maxAbsDiff(rho.matrix(), want), kTol) << "n=" << n;
+    }
+}
+
+TEST(KernelEquivalence, TransfersThenScaleMatchFusedDecoherence)
+{
+    // The simulator's order: every qubit's transfer, then one S table,
+    // against the per-qubit Kraus sweep and the oracle's sequential
+    // channels.  Lossy, dephasing-only (gamma 0), damping-only (keep 1)
+    // and coherent qubits all occur.
+    Rng rng(19);
+    for (int n = 2; n <= 8; ++n) {
+        std::vector<double> gamma, keep;
+        randomDecoherence(rng, n, gamma, keep);
+        const DensityMatrix rho0 = randomState(rng, n);
+        DensityMatrix got = rho0, fused = rho0;
+        transfersThenScale(got, gamma, keep);
+        fused.applyDecoherence(gamma, keep);
+        oracle::Dense want = rho0.matrix();
+        oracleDecoherence(gamma, keep, want);
+        EXPECT_LE(maxAbsDiff(got.matrix(), fused.matrix()), kTol)
+            << "n=" << n;
+        EXPECT_LE(maxAbsDiff(got.matrix(), want), kTol) << "n=" << n;
     }
 }
 
@@ -583,14 +637,33 @@ xorClass(const DensityMatrix &rho, int q, int x)
     return out;
 }
 
+/** The full-register row of every row of xorClass(rho, q, x), then the
+ *  full-register column of every column of each of its blocks. */
+std::pair<std::vector<size_t>, std::vector<size_t>>
+xorClassIndex(int n, int q, int x)
+{
+    const size_t half = size_t(1) << (n - 1);
+    const size_t mask = size_t(1) << (n - 1 - q);
+    const auto full = [&](size_t l, size_t bit) {
+        return ((l & ~(mask - 1)) << 1) | (bit ? mask : 0) | (l & (mask - 1));
+    };
+    std::vector<size_t> rows(2 * half), columns(2 * half);
+    for (size_t r = 0; r < 2 * half; ++r) {
+        const size_t a = r / half;
+        rows[r] = full(r % half, a);
+        columns[r] = full(r % half, a ^ size_t(x));
+    }
+    return {rows, columns};
+}
+
 TEST(KernelEquivalence, SplitBlockKernelsMatchWholeRegisterBitForBit)
 {
     // A density matrix split on a qubit runs every kernel on its two
     // XOR classes, each two blocks of n - 1 qubits in one flat array:
-    // the gates and the other qubits' Kraus steps once over the class,
-    // the split qubit's Kraus step across its two blocks, and the ZZ
-    // phase with each block's columns from the other half of the
-    // table.  Each must give the bits the whole-register kernel gives,
+    // the gates and the other qubits' transfers once over the class,
+    // the split qubit's transfer across its two blocks, and the phase
+    // and scale tables built from each entry's full-register row and
+    // column.  Each must give the bits the whole-register kernel gives,
     // for every split position and every damping/dephasing branch, at
     // every size from the smallest with a 2Q gate beside the split
     // qubit up to 7 qubits.  The blocks of 2 to 6 qubits run every
@@ -606,7 +679,9 @@ TEST(KernelEquivalence, SplitBlockKernelsMatchWholeRegisterBitForBit)
         for (double &e : energies)
             e = rng.uniform(-5.0, 5.0);
         const la::CVector p = phaseVector(energies, 0.071);
-        const size_t half = size_t(1) << (n - 1);
+        const size_t d = size_t(1) << n;
+        const size_t half = d >> 1;
+        const std::vector<size_t> identity = identityIndex(d);
         for (int q = 0; q < n; ++q) {
             // Two qubits besides q; at n = 3, q - 1 is q + 2.
             const int other = (q + 2) % n;
@@ -622,27 +697,55 @@ TEST(KernelEquivalence, SplitBlockKernelsMatchWholeRegisterBitForBit)
                              std::to_string(q) + " gamma=" +
                              std::to_string(g) + " keep=" +
                              std::to_string(kp));
+                // The split qubit's transfer: the populations sit in
+                // class 0, across its two blocks; class 1 holds the
+                // coherences, which no transfer touches.
                 const DensityMatrix rho0 = randomState(rng, n);
                 DensityMatrix whole = rho0;
-                whole.applyDecoherence(q, g, kp);
+                transferPopulation(entries(whole), d, d >> (q + 1), g);
                 for (int x = 0; x < 2; ++x) {
                     std::vector<cplx> cls = xorClass(rho0, q, x);
-                    decohereAcross(cls, half * half, x == 1, g, kp);
+                    if (x == 0)
+                        transferPopulationAcross(cls, half * half, g);
                     EXPECT_TRUE(sameBits(cls, xorClass(whole, q, x)))
-                        << "split kraus x=" << x;
+                        << "split transfer x=" << x;
                 }
 
-                // The gates and another qubit's Kraus step, one by one.
+                // The entrywise tables: the ZZ phase, and the scale S
+                // of these factors on q and on another qubit.
+                std::vector<double> gamma(size_t(n), 0.0),
+                    keep(size_t(n), 1.0);
+                gamma[size_t(q)] = gamma[size_t(other)] = g;
+                keep[size_t(q)] = keep[size_t(other)] = kp;
+                std::vector<cplx> phase(d * d), scale(d * d);
+                phaseTable(phase, d, identity, identity, p);
+                scaleTable(scale, d, identity, identity, gamma, keep);
+                for (int x = 0; x < 2; ++x) {
+                    const auto [rows, columns] = xorClassIndex(n, q, x);
+                    std::vector<cplx> cls_phase(d * half), cls_scale(d * half);
+                    phaseTable(cls_phase, half, rows, columns, p);
+                    scaleTable(cls_scale, half, rows, columns, gamma, keep);
+                    DensityMatrix table(n);
+                    std::ranges::copy(phase, entries(table).begin());
+                    EXPECT_TRUE(sameBits(cls_phase, xorClass(table, q, x)))
+                        << "phase table x=" << x;
+                    std::ranges::copy(scale, entries(table).begin());
+                    EXPECT_TRUE(sameBits(cls_scale, xorClass(table, q, x)))
+                        << "scale table x=" << x;
+                }
+
+                // The gates and another qubit's transfer, one by one.
                 using OnWhole = std::function<void(DensityMatrix &)>;
                 using OnClass = std::function<void(std::span<cplx>)>;
                 const std::vector<std::tuple<std::string, OnWhole, OnClass>>
                     ops = {
-                        {"kraus",
+                        {"transfer",
                          [&](DensityMatrix &r) {
-                             r.applyDecoherence(other, g, kp);
+                             transferPopulation(entries(r), d,
+                                                d >> (other + 1), g);
                          },
                          [&](std::span<cplx> c) {
-                             decohere(c, half, s(other), g, kp);
+                             transferPopulation(c, half, s(other), g);
                          }},
                         {"1q", [&](DensityMatrix &r) { r.apply1Q(m2, other); },
                          [&](std::span<cplx> c) {
@@ -667,18 +770,6 @@ TEST(KernelEquivalence, SplitBlockKernelsMatchWholeRegisterBitForBit)
                     }
                 }
             }
-        }
-        // Qubit 0 is the top bit, so the rows of a class split on it
-        // are the phase table in order, and block a takes its columns
-        // from half a ^ x.
-        const DensityMatrix rho0 = randomState(rng, n);
-        DensityMatrix whole = rho0;
-        whole.applyPhaseVector(p);
-        for (int x = 0; x < 2; ++x) {
-            std::vector<cplx> cls = xorClass(rho0, 0, x);
-            multiplyPhase(cls, half, p, size_t(x));
-            EXPECT_TRUE(sameBits(cls, xorClass(whole, 0, x)))
-                << "n=" << n << " phase x=" << x;
         }
     }
 }
@@ -967,10 +1058,12 @@ TEST(KernelEquivalence, DensityIdleQubitSplitMatchesDenseOracleOnCompiledSchedul
 /**
  * The step loop of the schedule simulators, replayed on the whole
  * register through the public kernels in the same order, with the
- * same propagators, phase tables and Kraus factors: the unsplit
+ * same propagators, per-entry tables and Kraus factors: the unsplit
  * reference the split must match bit for bit.  @p kraus selects the
- * T1/T2 sweep between unmerged half-steps; without it the half-steps
- * merge.
+ * T1/T2 channel between unmerged half-steps: every qubit's transfer
+ * after the trailing half-step, its entrywise scale S folded into the
+ * next leading half-step, and one S pass at the end of the layer.
+ * Without it the half-steps merge.
  */
 void
 replayWholeRegister(const core::Schedule &sched, const dev::Device &dev,
@@ -978,6 +1071,7 @@ replayWholeRegister(const core::Schedule &sched, const dev::Device &dev,
                     bool kraus, DensityMatrix &rho)
 {
     const int n = dev.numQubits();
+    const size_t d = rho.dim();
     std::vector<std::array<int, 2>> edges;
     std::vector<double> lambdas;
     for (const graph::Edge &e : dev.graph().edges()) {
@@ -985,6 +1079,7 @@ replayWholeRegister(const core::Schedule &sched, const dev::Device &dev,
         lambdas.push_back(dev.coupling(e.id));
     }
     const std::vector<double> zz = zzEnergyTable(n, edges, lambdas);
+    const std::vector<size_t> index = identityIndex(d);
     StepPropagatorMemo memo;
     for (const core::Layer &layer : sched.layers) {
         if (layer.is_virtual) {
@@ -995,8 +1090,6 @@ replayWholeRegister(const core::Schedule &sched, const dev::Device &dev,
         const size_t steps = std::max<size_t>(
             1, size_t(std::ceil(layer.duration / dt_opt)));
         const double dt = layer.duration / double(steps);
-        const la::CVector half = phaseVector(zz, dt / 2.0);
-        const la::CVector full = phaseVector(zz, dt);
         std::vector<double> gamma(size_t(n), 0.0), keep(size_t(n), 1.0);
         for (int q = 0; q < n && kraus; ++q) {
             const double t1 = dev.t1(q), t2 = dev.t2(q);
@@ -1007,11 +1100,16 @@ replayWholeRegister(const core::Schedule &sched, const dev::Device &dev,
                 rate = 1.0 / t2 - (std::isfinite(t1) ? 0.5 / t1 : 0.0);
             keep[size_t(q)] = std::exp(-dt * std::max(0.0, rate));
         }
-        if (!kraus)
-            rho.applyPhaseVector(half);
+        std::vector<cplx> half(d * d), full(d * d), scale(d * d);
+        phaseTable(half, d, index, index, phaseVector(zz, dt / 2.0));
+        phaseTable(full, d, index, index, phaseVector(zz, dt));
+        scaleTable(scale, d, index, index, gamma, keep);
+        std::vector<cplx> lead = half;
+        multiplyEntries(lead, scale);
+
         for (size_t s = 0; s < steps; ++s) {
-            if (kraus)
-                rho.applyPhaseVector(half);
+            if (s == 0 || kraus)
+                multiplyEntries(entries(rho), s == 0 ? half : lead);
             const double t_mid = (double(s) + 0.5) * dt;
             for (const core::ScheduledGate &sg : layer.gates) {
                 const pulse::PulseGate kind = pulseGateOf(sg.gate);
@@ -1024,10 +1122,14 @@ replayWholeRegister(const core::Schedule &sched, const dev::Device &dev,
                 else
                     rho.apply1Q(memo.get1Q(prog, kind, s, dt), q[0]);
             }
-            rho.applyPhaseVector(!kraus && s + 1 < steps ? full : half);
-            if (kraus)
-                rho.applyDecoherence(gamma, keep);
+            multiplyEntries(entries(rho),
+                            !kraus && s + 1 < steps ? full : half);
+            for (int q = 0; q < n && kraus; ++q)
+                transferPopulation(entries(rho), d, d >> (q + 1),
+                                   gamma[size_t(q)]);
         }
+        if (kraus)
+            multiplyEntries(entries(rho), scale);
     }
 }
 
