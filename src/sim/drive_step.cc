@@ -64,47 +64,4 @@ drive2QStep(const PulseProgram &p, double t_mid, double dt, la::Mat4 &out)
     la::expmPropagator4(h, dt, out);
 }
 
-template <typename M>
-void
-StepPropagatorMemo::prepare(Slot<M> &slot, size_t step, double dt)
-{
-    if (slot.dt != dt) {
-        slot.dt = dt;
-        slot.mats.clear();
-        slot.have.clear();
-    }
-    if (step >= slot.have.size()) {
-        slot.mats.resize(step + 1);
-        slot.have.resize(step + 1, 0);
-    }
-}
-
-const la::Mat2 &
-StepPropagatorMemo::get1Q(const PulseProgram &p, PulseGate k, size_t step,
-                          double dt)
-{
-    Slot<la::Mat2> &slot = slots1_[pulseKindIndex(k)];
-    prepare(slot, step, dt);
-    if (!slot.have[step]) {
-        drive1QStep(p, (double(step) + 0.5) * dt, dt, slot.mats[step]);
-        slot.have[step] = 1;
-        ++misses_;
-    }
-    return slot.mats[step];
-}
-
-const la::Mat4 &
-StepPropagatorMemo::get2Q(const PulseProgram &p, PulseGate k, size_t step,
-                          double dt)
-{
-    Slot<la::Mat4> &slot = slots4_[pulseKindIndex(k)];
-    prepare(slot, step, dt);
-    if (!slot.have[step]) {
-        drive2QStep(p, (double(step) + 0.5) * dt, dt, slot.mats[step]);
-        slot.have[step] = 1;
-        ++misses_;
-    }
-    return slot.mats[step];
-}
-
 } // namespace qzz::sim

@@ -1,25 +1,18 @@
 /**
  * @file
- * Shared drive-propagator machinery for the schedule simulators.
+ * Drive propagators for the schedule simulators.
  *
  * Both the state-vector and the density-matrix simulator integrate
  * the same Strang split, and within one layer every gate of a kind
  * shares one pulse program — so the step propagator is a function of
- * (gate kind, step index, step width) only.  StepPropagatorMemo
- * caches exactly that: the first request for a (kind, step) pair at a
- * given dt pays the matrix exponential; every later request — the
- * other gates of the layer, the remaining layers with the same dt,
- * repeated fidelity evaluations through one simulator — is an array
- * lookup.  Entries are bit-identical to the un-memoized path
- * (expPauli / expmPropagator4 transcribe the CMatrix kernels), so
- * memoization never changes results.
+ * (gate kind, step index, step width) only.  The simulator computes
+ * each once per run, before any fan-out (sim/pulse_sim.cc), with the
+ * fixed-size expPauli / expmPropagator4 kernels, which transcribe the
+ * CMatrix ones.
  */
 
 #ifndef QZZ_SIM_DRIVE_STEP_H
 #define QZZ_SIM_DRIVE_STEP_H
-
-#include <cstdint>
-#include <vector>
 
 #include "circuit/gate.h"
 #include "linalg/matrix.h"
@@ -43,45 +36,6 @@ void drive1QStep(const pulse::PulseProgram &p, double t_mid, double dt,
  *  channels; the intra-pair ZZ lives in the diagonal bath). */
 void drive2QStep(const pulse::PulseProgram &p, double t_mid, double dt,
                  la::Mat4 &out);
-
-/**
- * Per-(gate kind, step) propagator cache for one integrator run.
- *
- * Keyed on the step width: a layer whose dt differs from the cached
- * one resets that kind's slots (schedules mix layer durations, but
- * most layers of a schedule quantize to the same dt, so entries
- * survive across layers).  Not thread-safe; each run owns its memo.
- */
-class StepPropagatorMemo
-{
-  public:
-    /** The 2x2 propagator for 1Q kind @p k at step @p step of width
-     *  @p dt, computing and caching it on first use. */
-    const la::Mat2 &get1Q(const pulse::PulseProgram &p,
-                          pulse::PulseGate k, size_t step, double dt);
-
-    /** The 4x4 propagator for 2Q kind @p k (same contract). */
-    const la::Mat4 &get2Q(const pulse::PulseProgram &p,
-                          pulse::PulseGate k, size_t step, double dt);
-
-    /** Distinct propagators computed (i.e. cache misses) so far. */
-    uint64_t misses() const { return misses_; }
-
-  private:
-    template <typename M> struct Slot
-    {
-        double dt = -1.0;
-        std::vector<M> mats;
-        std::vector<uint8_t> have;
-    };
-
-    template <typename M>
-    void prepare(Slot<M> &slot, size_t step, double dt);
-
-    Slot<la::Mat2> slots1_[3];
-    Slot<la::Mat4> slots4_[3];
-    uint64_t misses_ = 0;
-};
 
 } // namespace qzz::sim
 

@@ -22,28 +22,33 @@
  * coherences) is diagonal on vec(rho), so it is folded into the next
  * step's leading half-step table, and one S pass closes the layer.
  * Every phase multiply is one complex multiply per entry against a
- * table built once per layer.
+ * table built once per step width of a segment.
  *
  * Qubits without pulses simply sit in the ZZ bath — exactly the
  * physics the paper's scheduling fights.
  *
- * Both registers split each layer on up to two qubits none of its
- * gates touches, from 2^9 stored entries on (a state vector of 9 or
- * more qubits, a density matrix of 5 or more).  On a state vector,
- * fixing those bits leaves 2^m sub-registers: the diagonal ZZ phase
- * and every gate act inside one.  On a density matrix, every
- * operation of the layer — conjugation by the gates, the ZZ phase,
- * dephasing and damping, even on the idle qubits — keeps the XOR
- * r ^ c of an entry rho[r, c] fixed on those bits, so the 2^m XOR
- * classes fall apart instead.  A class is one flat array of 2^m
- * blocks, and the density-matrix kernels run on it as on a whole
- * matrix; it builds its tables from each entry's full-register row
- * and column.  Each part integrates the whole layer on its own across
- * the shared pool, with no barrier between steps; this split is the
- * simulator's only parallelism, and the register kernels themselves
- * are sequential loops.  Every entry sees the same kernels, in the
- * same order, with the same phases, so results are bit-identical to
- * the unsplit loop at every register size.
+ * Both registers split each segment of the schedule on up to two
+ * qubits none of its gates touches, from 2^9 stored entries on (a
+ * state vector of 9 or more qubits, a density matrix of 5 or more).
+ * A segment is a run of consecutive layers, virtual RZ layers
+ * included, over which its split qubits stay idle; each segment takes
+ * the idle qubits that stay idle longest.  On a state vector, fixing
+ * those bits leaves 2^m sub-registers: the diagonal ZZ phase, every
+ * gate and every RZ act inside one (an RZ on a split qubit is one
+ * phase per sub-register).  On a density matrix, every operation of
+ * the segment — conjugation by the gates, the ZZ phase, dephasing and
+ * damping, even on the idle qubits, and the RZs — keeps the XOR r ^ c
+ * of an entry rho[r, c] fixed on those bits, so the 2^m XOR classes
+ * fall apart instead.  A class is one flat array of 2^m blocks, and
+ * the density-matrix kernels run on it as on a whole matrix; it
+ * builds its tables from each entry's full-register row and column.
+ * Each part gathers once, integrates every layer of the segment on
+ * its own across the shared pool, with no barrier between steps or
+ * layers, and scatters once; this split is the simulator's only
+ * parallelism, and the register kernels themselves are sequential
+ * loops.  Every entry sees the same kernels, in the same order, with
+ * the same phases, so results are bit-identical to the unsplit loop
+ * at every register size.
  */
 
 #ifndef QZZ_SIM_PULSE_SIM_H
@@ -56,8 +61,6 @@
 #include "sim/state_vector.h"
 
 namespace qzz::sim {
-
-class StepPropagatorMemo;
 
 /** Integration controls for the schedule simulators. */
 struct PulseSimOptions
@@ -86,9 +89,6 @@ template <class Reg> class ScheduleSimulator
     /** Evolve a caller-prepared state through the schedule. */
     void run(const core::Schedule &schedule, Reg &reg) const;
 
-    /** Evolve one physical layer. */
-    void runLayer(const core::Layer &layer, Reg &reg) const;
-
   private:
     // Owned copies: simulators must stay valid regardless of the
     // lifetime of the arguments they were built from.
@@ -97,18 +97,13 @@ template <class Reg> class ScheduleSimulator
     PulseSimOptions options_;
     std::vector<double> zz_energies_;
     SimMetrics metrics_;
-
-    /** One layer against a caller-owned propagator memo (run() keeps
-     *  one across layers so equal-dt layers share entries). */
-    void runLayer(const core::Layer &layer, Reg &reg,
-                  StepPropagatorMemo &memo) const;
 };
 
 /** The closed-system simulator of pure states (fig. 20). */
 using PulseScheduleSimulator = ScheduleSimulator<StateVector>;
 
 /** Unit phase table p[k] = exp(-i energies[k] dt), precomputed once
- *  per layer by the simulators and applied per step. */
+ *  per step width by the simulators and applied per step. */
 la::CVector phaseVector(const std::vector<double> &energies, double dt);
 
 } // namespace qzz::sim

@@ -14,7 +14,7 @@ simMetrics(const char *flavor)
         return &reg.histogram(
             "qzz_sim_kernel_ns",
             "Nanoseconds spent per physical layer in one simulator "
-            "kernel class",
+            "kernel class (per segment for setup and wait)",
             buckets, {{"sim", flavor}, {"kernel", name}});
     };
     SimMetrics m;
@@ -25,6 +25,8 @@ simMetrics(const char *flavor)
     m.phase_ns = kernel("phase");
     m.gate_ns = kernel("gate");
     m.decoh_ns = kernel("decoherence");
+    m.setup_ns = kernel("setup");
+    m.wait_ns = kernel("wait");
     return m;
 }
 

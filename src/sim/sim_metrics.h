@@ -7,8 +7,9 @@
  * and per-kernel-class nanosecond histograms, labeled by simulator
  * flavor.  Handles are resolved once at simulator construction;
  * recording is per *layer* (timings are accumulated across a layer's
- * steps and observed once), so the per-step hot path pays only a
- * clock read per kernel region.
+ * steps and observed once) and per *segment* for the split's own
+ * setup and wait, and the step loop reads the clock on a sample of
+ * its steps only.
  */
 
 #ifndef QZZ_SIM_SIM_METRICS_H
@@ -29,6 +30,8 @@ struct SimMetrics
     tel::Histogram *phase_ns = nullptr;  ///< diagonal ZZ phase sweeps
     tel::Histogram *gate_ns = nullptr;   ///< 1Q/2Q drive propagators
     tel::Histogram *decoh_ns = nullptr;  ///< Kraus decoherence sweeps
+    tel::Histogram *setup_ns = nullptr;  ///< per segment: outside the steps
+    tel::Histogram *wait_ns = nullptr;   ///< per segment: wall - mean part
 
     bool enabled() const { return layers != nullptr; }
 };
@@ -37,30 +40,31 @@ struct SimMetrics
  *  @p flavor ("density" or "statevector") in the global registry. */
 SimMetrics simMetrics(const char *flavor);
 
-/** Nanosecond accumulator for one kernel class within one layer; a
- *  no-op (no clock reads) when telemetry is off. */
+/** Nanosecond accumulator for one kernel class within one layer.  An
+ *  interval from start() to stop() counts @c weight times, the number
+ *  of steps it stands for; at weight 0 (the default) neither reads the
+ *  clock. */
 class KernelTimer
 {
   public:
-    explicit KernelTimer(bool on) : on_(on) {}
+    double weight = 0.0;
 
     void start()
     {
-        if (on_)
+        if (weight != 0.0)
             t_ = std::chrono::steady_clock::now();
     }
     void stop()
     {
-        if (on_)
-            ns_ += double(std::chrono::duration_cast<
-                              std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - t_)
-                              .count());
+        if (weight != 0.0)
+            ns_ += weight * double(std::chrono::duration_cast<
+                                       std::chrono::nanoseconds>(
+                                       std::chrono::steady_clock::now() - t_)
+                                       .count());
     }
     double ns() const { return ns_; }
 
   private:
-    bool on_;
     double ns_ = 0.0;
     std::chrono::steady_clock::time_point t_;
 };

@@ -3,12 +3,13 @@
  * Heap budget of the Strang step loop on both registers.
  *
  * The step loop promises no heap allocation per Strang step: the
- * propagator table, the buffers of a split layer's parts, the phase
- * tables and the Kraus factors are set up once per layer.  This
+ * propagator table and the Kraus factors are set up once per run, the
+ * buffers of a segment's parts once per segment and their phase
+ * tables once per step width of the segment.  This
  * binary replaces the global operator new with a counting one and
- * checks that promise over a 12-qubit state-vector run, whose layers
+ * checks that promise over a 12-qubit state-vector run, whose segments
  * split into sub-registers across the shared pool, and over a
- * fig. 23-sized density-matrix run with T1/T2, whose layers split
+ * fig. 23-sized density-matrix run with T1/T2, whose segments split
  * into XOR classes of blocks.
  */
 

@@ -9,8 +9,8 @@
  * la::expmPropagator, then placed with la::embed; the ZZ bath is a
  * dense diagonal built from the device couplings; T1/T2 are embedded
  * 2x2 Kraus operators.  Nothing is shared with the register kernels,
- * StepPropagatorMemo or the simulators' step loop, so agreement to
- * rounding checks all three independently.
+ * the fixed-size drive propagators or the simulators' step loop, so
+ * agreement to rounding checks all three independently.
  */
 
 #ifndef QZZ_TESTS_SIM_DENSE_ORACLE_H

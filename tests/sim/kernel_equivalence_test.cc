@@ -3,7 +3,7 @@
  * Register kernels and the Strang integrator against a dense oracle.
  *
  * The fused density-matrix kernels, the state-vector kernels, the
- * memoized step propagators, the phase-vector sweeps and the
+ * step propagators, the phase-vector sweeps and the
  * simulators' shared step loop are all performance code that must
  * not move physics.  Every test here pins them to the dense 2^n x 2^n
  * reference of dense_oracle.h on randomized states, within 1e-10,
@@ -14,8 +14,9 @@
  * qubits for the state vector and up to 7 for the density matrix.
  * The split — the simulator's one level of
  * parallelism — is also pinned bit for bit across thread counts, and
- * its density-matrix block kernels and whole runs bit for bit to the
- * whole register.  Runs under ASan and TSan in CI (label
+ * its density-matrix block kernels and whole runs of both registers,
+ * segments of several layers included, bit for bit to the whole
+ * register.  Runs under ASan and TSan in CI (label
  * unit-service), so the shared-pool split is raced deliberately.
  */
 
@@ -26,6 +27,7 @@
 #include <span>
 #include <string>
 #include <tuple>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
@@ -455,41 +457,27 @@ TEST(KernelEquivalence, FixedSizePropagatorMatchesHeapExpm)
     }
 }
 
-TEST(KernelEquivalence, MemoizedPropagatorsMatchDirectComputation)
+TEST(KernelEquivalence, DrivePropagatorsMatchDenseOracle)
 {
+    // The fixed-size step propagators against the oracle's own
+    // Hamiltonians.
     const pulse::PulseLibrary lib = pulse::PulseLibrary::gaussian();
     const double dt = 0.1;
-    StepPropagatorMemo memo;
     const auto &sx = lib.get(pulse::PulseGate::SX);
     const auto &rzx = lib.get(pulse::PulseGate::RZX);
     for (size_t s = 0; s < 40; ++s) {
         const double t_mid = (double(s) + 0.5) * dt;
         la::Mat2 m2;
         drive1QStep(sx, t_mid, dt, m2);
-        const la::Mat2 &c2 = memo.get1Q(sx, pulse::PulseGate::SX, s, dt);
-        for (size_t i = 0; i < 4; ++i)
-            EXPECT_EQ(m2[i], c2[i]);
         la::Mat4 m4;
         drive2QStep(rzx, t_mid, dt, m4);
-        const la::Mat4 &c4 = memo.get2Q(rzx, pulse::PulseGate::RZX, s, dt);
-        for (size_t i = 0; i < 16; ++i)
-            EXPECT_EQ(m4[i], c4[i]);
-        // And both match the oracle's own Hamiltonians.
         const CMatrix o2 = oracle::driveStep(sx, t_mid, dt);
         const CMatrix o4 = oracle::driveStep(rzx, t_mid, dt);
         for (size_t i = 0; i < 4; ++i)
-            EXPECT_LE(std::abs(c2[i] - o2(i / 2, i % 2)), kTol);
+            EXPECT_LE(std::abs(m2[i] - o2(i / 2, i % 2)), kTol);
         for (size_t i = 0; i < 16; ++i)
-            EXPECT_LE(std::abs(c4[i] - o4(i / 4, i % 4)), kTol);
+            EXPECT_LE(std::abs(m4[i] - o4(i / 4, i % 4)), kTol);
     }
-    // The second pass over the same steps must hit the cache.
-    const auto misses = memo.misses();
-    (void)memo.get1Q(sx, pulse::PulseGate::SX, 7, dt);
-    (void)memo.get2Q(rzx, pulse::PulseGate::RZX, 7, dt);
-    EXPECT_EQ(memo.misses(), misses);
-    // A different dt invalidates.
-    (void)memo.get1Q(sx, pulse::PulseGate::SX, 7, dt / 2.0);
-    EXPECT_EQ(memo.misses(), misses + 1);
 }
 
 dev::Device
@@ -1055,23 +1043,48 @@ TEST(KernelEquivalence, DensityIdleQubitSplitMatchesDenseOracleOnCompiledSchedul
     }
 }
 
+std::span<cplx>
+entries(StateVector &psi)
+{
+    return psi.amplitudes();
+}
+
+/** The ZZ phase table of a whole register for the unit phases @p p:
+ *  p itself on a state vector, p[r] * conj(p[c]) on a density matrix. */
+std::vector<cplx>
+wholeTable(const StateVector &, const la::CVector &p)
+{
+    return p;
+}
+
+std::vector<cplx>
+wholeTable(const DensityMatrix &rho, const la::CVector &p)
+{
+    const std::vector<size_t> index = identityIndex(rho.dim());
+    std::vector<cplx> table(rho.dim() * rho.dim());
+    phaseTable(table, rho.dim(), index, index, p);
+    return table;
+}
+
 /**
- * The step loop of the schedule simulators, replayed on the whole
- * register through the public kernels in the same order, with the
- * same propagators, per-entry tables and Kraus factors: the unsplit
- * reference the split must match bit for bit.  @p kraus selects the
- * T1/T2 channel between unmerged half-steps: every qubit's transfer
- * after the trailing half-step, its entrywise scale S folded into the
- * next leading half-step, and one S pass at the end of the layer.
- * Without it the half-steps merge.
+ * The step loop of the schedule simulators, replayed layer by layer
+ * on the whole register through the public kernels in the same order,
+ * with the same propagators, per-entry tables and Kraus factors: the
+ * unsplit reference the split must match bit for bit.  @p kraus (a
+ * density matrix only) selects the T1/T2 channel between unmerged
+ * half-steps: every qubit's transfer after the trailing half-step,
+ * its entrywise scale S folded into the next leading half-step, and
+ * one S pass at the end of the layer.  Without it the half-steps
+ * merge.
  */
+template <class Reg>
 void
 replayWholeRegister(const core::Schedule &sched, const dev::Device &dev,
                     const pulse::PulseLibrary &lib, double dt_opt,
-                    bool kraus, DensityMatrix &rho)
+                    bool kraus, Reg &reg)
 {
+    constexpr bool density = std::is_same_v<Reg, DensityMatrix>;
     const int n = dev.numQubits();
-    const size_t d = rho.dim();
     std::vector<std::array<int, 2>> edges;
     std::vector<double> lambdas;
     for (const graph::Edge &e : dev.graph().edges()) {
@@ -1079,12 +1092,10 @@ replayWholeRegister(const core::Schedule &sched, const dev::Device &dev,
         lambdas.push_back(dev.coupling(e.id));
     }
     const std::vector<double> zz = zzEnergyTable(n, edges, lambdas);
-    const std::vector<size_t> index = identityIndex(d);
-    StepPropagatorMemo memo;
     for (const core::Layer &layer : sched.layers) {
         if (layer.is_virtual) {
             for (const core::ScheduledGate &sg : layer.gates)
-                rho.applyRz(sg.gate.qubits[0], sg.gate.params[0]);
+                reg.applyRz(sg.gate.qubits[0], sg.gate.params[0]);
             continue;
         }
         const size_t steps = std::max<size_t>(
@@ -1100,16 +1111,20 @@ replayWholeRegister(const core::Schedule &sched, const dev::Device &dev,
                 rate = 1.0 / t2 - (std::isfinite(t1) ? 0.5 / t1 : 0.0);
             keep[size_t(q)] = std::exp(-dt * std::max(0.0, rate));
         }
-        std::vector<cplx> half(d * d), full(d * d), scale(d * d);
-        phaseTable(half, d, index, index, phaseVector(zz, dt / 2.0));
-        phaseTable(full, d, index, index, phaseVector(zz, dt));
-        scaleTable(scale, d, index, index, gamma, keep);
-        std::vector<cplx> lead = half;
-        multiplyEntries(lead, scale);
+        const std::vector<cplx> half =
+            wholeTable(reg, phaseVector(zz, dt / 2.0));
+        const std::vector<cplx> full = wholeTable(reg, phaseVector(zz, dt));
+        std::vector<cplx> lead = half, scale;
+        if constexpr (density) {
+            const std::vector<size_t> index = identityIndex(reg.dim());
+            scale.resize(half.size());
+            scaleTable(scale, reg.dim(), index, index, gamma, keep);
+            multiplyEntries(lead, scale);
+        }
 
         for (size_t s = 0; s < steps; ++s) {
             if (s == 0 || kraus)
-                multiplyEntries(entries(rho), s == 0 ? half : lead);
+                multiplyEntries(entries(reg), s == 0 ? half : lead);
             const double t_mid = (double(s) + 0.5) * dt;
             for (const core::ScheduledGate &sg : layer.gates) {
                 const pulse::PulseGate kind = pulseGateOf(sg.gate);
@@ -1117,19 +1132,26 @@ replayWholeRegister(const core::Schedule &sched, const dev::Device &dev,
                 if (t_mid >= prog.duration)
                     continue;
                 const auto &q = sg.gate.qubits;
-                if (sg.gate.isTwoQubit())
-                    rho.apply2Q(memo.get2Q(prog, kind, s, dt), q[0], q[1]);
-                else
-                    rho.apply1Q(memo.get1Q(prog, kind, s, dt), q[0]);
+                if (sg.gate.isTwoQubit()) {
+                    la::Mat4 u;
+                    drive2QStep(prog, t_mid, dt, u);
+                    reg.apply2Q(u, q[0], q[1]);
+                } else {
+                    la::Mat2 u;
+                    drive1QStep(prog, t_mid, dt, u);
+                    reg.apply1Q(u, q[0]);
+                }
             }
-            multiplyEntries(entries(rho),
+            multiplyEntries(entries(reg),
                             !kraus && s + 1 < steps ? full : half);
-            for (int q = 0; q < n && kraus; ++q)
-                transferPopulation(entries(rho), d, d >> (q + 1),
-                                   gamma[size_t(q)]);
+            if constexpr (density)
+                for (int q = 0; q < n && kraus; ++q)
+                    transferPopulation(entries(reg), reg.dim(),
+                                       reg.dim() >> (q + 1),
+                                       gamma[size_t(q)]);
         }
         if (kraus)
-            multiplyEntries(entries(rho), scale);
+            multiplyEntries(entries(reg), scale);
     }
 }
 
@@ -1164,6 +1186,206 @@ TEST(KernelEquivalence, DensityIdleQubitSplitIsBitIdenticalToWholeRegister)
                 EXPECT_TRUE(sameBits(split, whole));
             }
         }
+    }
+}
+
+/** A virtual layer of RZ(theta) gates on (qubit, theta) pairs. */
+core::Layer
+virtualLayer(const std::vector<std::pair<int, double>> &rz)
+{
+    core::Layer l;
+    l.is_virtual = true;
+    for (const auto &[q, theta] : rz)
+        l.gates.push_back({ckt::Gate(ckt::GateKind::RZ, {q}, {theta})});
+    return l;
+}
+
+/** Step width of the segment-case schedule: the 20, 25 and 30 ns
+ *  layers take 29, 36 and 43 steps, three different widths. */
+constexpr double kSegmentDt = 0.7;
+
+/**
+ * Layers that cover the segments of a register of n >= 5 qubits.
+ * Qubits 0 and 1 stay idle across three physical layers of two
+ * widths, with RZs between them on those split qubits and on busy
+ * ones; a layer with one idle qubit and a layer with none follow;
+ * then an RZ layer and two layers whose idle qubits differ.  With
+ * the idle pair that stays idle longest taken first, the layers fall
+ * into 5 segments at n = 5 and 6 and 4 from n = 8 on (7 physical
+ * layers).
+ */
+core::Schedule
+segmentCaseSchedule(int n)
+{
+    core::Schedule s;
+    s.num_qubits = n;
+    s.layers.push_back(physicalLayer(qubitRange(4, n), {}, {{2, 3}}, 20.0));
+    s.layers.push_back(virtualLayer({{0, 0.7}, {2, -0.4}, {1, 1.3}}));
+    std::vector<int> sx = qubitRange(5, n);
+    sx.push_back(2);
+    s.layers.push_back(physicalLayer(sx, {}, {{3, 4}}, 30.0));
+    s.layers.push_back(virtualLayer({{1, -0.9}, {n - 1, 0.5}}));
+    s.layers.push_back(physicalLayer(qubitRange(3, n), {2}, {}, 20.0));
+    // One idle qubit (n - 1), then none.
+    s.layers.push_back(physicalLayer(qubitRange(0, n - 1), {}, {}, 25.0));
+    s.layers.push_back(physicalLayer(qubitRange(2, n), {}, {{0, 1}}, 20.0));
+    s.layers.push_back(virtualLayer({{0, 0.3}, {n - 1, -1.2}}));
+    s.layers.push_back(physicalLayer({0, 1, 2}, {}, {}, 30.0));
+    s.layers.push_back(physicalLayer({3}, {}, {{n - 1, n - 2}}, 20.0));
+    return s;
+}
+
+TEST(KernelEquivalence, StateVectorSegmentsAreBitIdenticalToWholeRegister)
+{
+    // A segment gathers each part once, runs its layers, RZs and step
+    // widths in order and scatters once: pooled, nested-inline and
+    // whole-register replays agree to the bit.
+    const auto lib = pulse::PulseLibrary::gaussian();
+    for (auto [rows, cols] : {std::pair{3, 3}, std::pair{3, 4}}) {
+        const int n = rows * cols;
+        SCOPED_TRACE("n=" + std::to_string(n));
+        const auto dev = gridDevice(rows, cols);
+        const core::Schedule sched = segmentCaseSchedule(n);
+        PulseSimOptions opt;
+        opt.dt = kSegmentDt;
+        Rng rng{uint64_t(n)};
+        const StateVector psi0 = randomPureState(rng, n);
+        const StateVector got =
+            runPooledAndNested(PulseScheduleSimulator(dev, lib, opt), sched,
+                               psi0);
+        StateVector whole = psi0;
+        replayWholeRegister(sched, dev, lib, opt.dt, false, whole);
+        EXPECT_TRUE(sameBits(entries(got), entries(whole)));
+        EXPECT_LT(got.fidelity(psi0), 0.99);
+    }
+}
+
+TEST(KernelEquivalence, DensitySegmentsAreBitIdenticalToWholeRegister)
+{
+    // The same on XOR classes, coherent and with heterogeneous T1/T2:
+    // an RZ on a split qubit scales whole blocks of the classes whose
+    // row and column differ there.
+    const auto lib = pulse::PulseLibrary::gaussian();
+    for (const graph::Topology &topo :
+         {graph::lineTopology(5), graph::gridTopology(2, 3)}) {
+        const int n = topo.g.numVertices();
+        Rng dev_rng(7);
+        const dev::Device coherent(topo, dev::DeviceParams{}, dev_rng);
+        const core::Schedule sched = segmentCaseSchedule(n);
+        for (const bool decoherent : {false, true}) {
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         (decoherent ? " T1/T2" : " coherent"));
+            const dev::Device dev = decoherent ? lossy(coherent) : coherent;
+            PulseSimOptions opt;
+            opt.dt = kSegmentDt;
+            Rng rng{uint64_t(n)};
+            const DensityMatrix rho0 = randomState(rng, n);
+            const DensityMatrix got = runPooledAndNested(
+                DensityMatrixScheduleSimulator(dev, lib, opt), sched, rho0);
+            DensityMatrix whole = rho0;
+            replayWholeRegister(sched, dev, lib, opt.dt, decoherent, whole);
+            EXPECT_TRUE(sameBits(got, whole));
+            EXPECT_NEAR(got.trace(), 1.0, 1e-9);
+        }
+    }
+}
+
+/** The qzz_sim_* counts of one simulator flavor. */
+struct SimCounts
+{
+    uint64_t layers, steps, phase, gate, decoh, setup, wait;
+
+    static SimCounts
+    now(const char *flavor)
+    {
+        const SimMetrics m = simMetrics(flavor);
+        return {m.layers->value(),
+                m.steps->value(),
+                m.phase_ns->snapshot().count,
+                m.gate_ns->snapshot().count,
+                m.decoh_ns->snapshot().count,
+                m.setup_ns->snapshot().count,
+                m.wait_ns->snapshot().count};
+    }
+};
+
+/** Runs @p sched from @p reg0 with telemetry off, then on; expects
+ *  the same bits and returns the counts the second run added. */
+template <class Reg>
+SimCounts
+countsOfRun(const dev::Device &dev, const core::Schedule &sched,
+            const Reg &reg0, const char *flavor)
+{
+    const auto lib = pulse::PulseLibrary::gaussian();
+    PulseSimOptions opt;
+    opt.dt = kSegmentDt;
+    opt.telemetry = false;
+    Reg quiet = reg0, timed = reg0;
+    ScheduleSimulator<Reg>(dev, lib, opt).run(sched, quiet);
+    opt.telemetry = true;
+    const ScheduleSimulator<Reg> sim(dev, lib, opt);
+    const SimCounts before = SimCounts::now(flavor);
+    sim.run(sched, timed);
+    const SimCounts after = SimCounts::now(flavor);
+    EXPECT_TRUE(std::ranges::equal(entries(quiet), entries(timed)))
+        << "telemetry changed the register";
+    return {after.layers - before.layers, after.steps - before.steps,
+            after.phase - before.phase,   after.gate - before.gate,
+            after.decoh - before.decoh,   after.setup - before.setup,
+            after.wait - before.wait};
+}
+
+TEST(KernelEquivalence, TelemetryCountsLayersStepsAndSegments)
+{
+    // Counts only, no wall-clock bound: one observation per physical
+    // layer of each kernel class (decoherence only with a channel), the
+    // schedule's steps, and one setup and one wait per segment.  A
+    // register below the split threshold runs as one segment.
+    const core::Schedule probe = segmentCaseSchedule(5);
+    uint64_t layers = 0, steps = 0;
+    for (const core::Layer &l : probe.layers)
+        if (!l.is_virtual) {
+            ++layers;
+            steps += size_t(std::ceil(l.duration / kSegmentDt));
+        }
+    ASSERT_EQ(layers, 7u);
+
+    struct Case
+    {
+        std::string name;
+        SimCounts got;
+        uint64_t decoh, segments;
+    };
+    std::vector<Case> cases;
+    for (auto [rows, cols, segments] :
+         {std::tuple{2, 3, 1}, std::tuple{3, 3, 4}}) {
+        const int n = rows * cols;
+        cases.push_back({"state vector n=" + std::to_string(n),
+                         countsOfRun(gridDevice(rows, cols),
+                                     segmentCaseSchedule(n), StateVector(n),
+                                     "statevector"),
+                         0, uint64_t(segments)});
+    }
+    Rng dev_rng(7);
+    const dev::Device coherent(graph::lineTopology(5), dev::DeviceParams{},
+                               dev_rng);
+    for (const bool decoherent : {false, true}) {
+        Rng rng(5);
+        cases.push_back(
+            {decoherent ? "density T1/T2" : "density coherent",
+             countsOfRun(decoherent ? lossy(coherent) : coherent, probe,
+                         randomState(rng, 5), "density"),
+             decoherent ? layers : 0, 5});
+    }
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        EXPECT_EQ(c.got.layers, layers);
+        EXPECT_EQ(c.got.steps, steps);
+        EXPECT_EQ(c.got.phase, layers);
+        EXPECT_EQ(c.got.gate, layers);
+        EXPECT_EQ(c.got.decoh, c.decoh);
+        EXPECT_EQ(c.got.setup, c.segments);
+        EXPECT_EQ(c.got.wait, c.segments);
     }
 }
 
